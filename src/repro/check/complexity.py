@@ -1,8 +1,9 @@
 """Symbolic message-complexity model derived from a protocol spec.
 
 The engines charge messages by one law, shared by every code path
-(planner full-probability charge, coin-group multinomial charge,
-independent-coin fallback, naive engine): when an actor's coin falls
+(coin-group multinomial charge -- a probability-1 action is a
+singleton group whose split is the occupancy -- independent-coin
+fallback, naive engine): when an actor's coin falls
 heads it sends ``width`` peer contacts, where ``width`` is
 ``len(required_states)`` for sample/tokenize, ``fanout`` for
 any-of/push, and 0 for flip.  Charges are *unthinned* -- message loss
@@ -39,7 +40,8 @@ Variance bound: within a coin group the per-action head counts are
 jointly multinomial, so their covariance is negative and
 ``sum_a width_a^2 * p_a * (1 - p_a) * c[actor_a]`` (independent
 binomials) is a conservative upper bound on the true per-period
-variance; probability-1 actions contribute zero.
+variance; probability-1 actions (singleton groups, ``p = 1``)
+contribute zero.
 """
 
 from __future__ import annotations

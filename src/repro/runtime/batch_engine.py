@@ -18,21 +18,23 @@ to check synchrony artifacts.
 Two RNG modes trade speed against bitwise reproducibility:
 
 * ``mode="batch"`` (default) -- all trials draw from one root stream
-  and every per-action step (actor selection, target sampling,
-  connection-failure masking, token routing) is vectorized across the
+  and every per-action step (actor selection, condition thinning,
+  connection-failure folding, token routing) is vectorized across the
   whole batch.  Each period is *planned* first
   (:class:`~repro.runtime.planner.ActionPlanner`): one broadcast
   multinomial draw splits every (trial, state) occupancy across that
-  state's actions plus the no-op remainder, one selection pass per
-  state picks the winning actors (dense states share a single
-  rejection-probe loop over host ids; sparse regimes like the endemic
-  protocol's alpha ~ 1e-6 coin keep per-trial scans; exact per-trial
-  draw counts go through :func:`segmented_choice`, a segmented
-  without-replacement sampler), and the selection is partitioned
-  across the state's actions.  Peer-target sampling is fused into one
-  ``integers`` draw per period covering every action.  Per-state
-  member lists are maintained *incrementally* for sparse-population
-  states (the population-protocol simulation idiom).  Trials are
+  state's actions plus the no-op remainder (a probability-1 action's
+  split is the whole occupancy), the splits are thinned to movers by
+  the exact peer-match probability, one selection pass per state picks
+  the movers (dense states share a single rejection-probe loop over
+  member pools; sparse regimes like the endemic protocol's
+  alpha ~ 1e-6 coin keep per-trial scans; exact per-trial draw counts
+  go through :func:`segmented_choice`, a segmented without-replacement
+  sampler), and the selection is partitioned across the state's
+  actions.  Only a ``push`` whose match state is its own actor state
+  still draws peer targets, fused into one ``integers`` draw per
+  period.  Per-state member pools are maintained *incrementally* (the
+  population-protocol simulation idiom).  Trials are
   statistically independent, with per-action marginals identical to M
   serial runs; actors fire at most one action of their state per
   period (the paper's multi-way coin), where the serial engine flips
@@ -69,7 +71,7 @@ import numpy as np
 
 from ..synthesis.protocol import ProtocolSpec
 from .metrics import MetricsRecorder
-from .planner import ActionPlanner, TrialMemberPools, _action_width
+from .planner import ActionPlanner, TrialMemberPools
 from .round_engine import RoundEngine, _compile, initial_state_vector
 from .rng import RandomSource, spawn_seeds
 
@@ -932,20 +934,15 @@ class BatchRoundEngine:
         )
         self._total_messages += period_messages
 
-        # Phase 2 -- one fused target draw for the whole period.  Every
-        # action's peer sampling needs ``actors.size * width`` uniform
-        # draws from [0, n-1); drawing them in one ``integers`` call
-        # replaces one RNG invocation per action with one per period
-        # (the ROADMAP's ``_sample_other_flat`` fusion).  Slices are
-        # handed out in declaration order, so the draw layout is a
-        # deterministic function of the plan.
-        widths = [
-            0 if entry.prefired else self._target_width(entry.action)
-            for entry in plans
-        ]
+        # Phase 2 -- one fused target draw for the whole period.  The
+        # planner resolves every kind analytically except a ``push``
+        # whose match state is its own actor state; those plans need
+        # ``actors.size * fanout`` uniform draws from [0, n-1), drawn
+        # in one ``integers`` call and sliced out in declaration order,
+        # so the draw layout is a deterministic function of the plan.
         needs = [
-            entry.actors.size * width
-            for entry, width in zip(plans, widths)
+            0 if entry.prefired else entry.actors.size * entry.action.fanout
+            for entry in plans
         ]
         raw_targets = (
             self._rng.integers(0, n - 1, size=sum(needs))
@@ -969,9 +966,8 @@ class BatchRoundEngine:
                 # condition analytically: the actors ARE the movers.
                 movers, edge_from = entry.actors, action.edge_from
             else:
-                movers, edge_from = self._execute_batch(
-                    action, entry.actors, snapshot, alive_flat, moved,
-                    segments, trial_members, raw,
+                movers, edge_from = self._execute_push(
+                    action, entry.actors, snapshot, alive_flat, raw,
                 )
             if movers.size == 0:
                 continue
@@ -1007,106 +1003,30 @@ class BatchRoundEngine:
         self.last_transitions = transitions
         return transitions
 
-    @staticmethod
-    def _target_width(action) -> int:
-        """Peer draws per actor for one action (0 = no peer sampling).
-
-        The same rule the planner's message accounting uses -- one
-        definition, so the fused target-draw sizing can never
-        desynchronize from the per-period message tally.
-        """
-        return _action_width(action)
-
-    def _execute_batch(
+    def _execute_push(
         self,
         action,
         actors: np.ndarray,
         snapshot: np.ndarray,
         alive_flat: np.ndarray,
-        moved: Optional[np.ndarray],
-        segments: Callable[[int], Tuple[np.ndarray, np.ndarray]],
-        trial_members: Callable[[int, int], np.ndarray],
-        raw: Optional[np.ndarray] = None,
+        raw: np.ndarray,
     ) -> Tuple[np.ndarray, int]:
-        """Run one action's sampling for the whole batch at once.
+        """Run a self-match push explicitly: the only unplanned kind.
 
-        Message accounting happens once per period from the planner's
-        split counts (see :meth:`ActionPlanner.plan`), not here.
+        With the match state equal to the actor state, each actor
+        excludes itself from its own match pool, so the planner's
+        single-q conversion law does not apply and the targets are
+        drawn and checked here.  Message accounting happens once per
+        period from the planner's split counts, not here.
         """
         failure = self.connection_failure_rate
-        if action.kind == "flip":
-            return actors, action.edge_from
-
-        if action.kind in ("sample", "tokenize"):
-            width = len(action.required)
-            if width == 0:
-                fired = actors
-            elif width == 1 and failure == 0.0:
-                # Flat fast path: one peer, no loss -- skip the 2D
-                # reshape and the axis reduction.
-                targets = self._sample_other_flat(actors, 1, raw).reshape(-1)
-                ok = snapshot[targets] == action.required[0]
-                if self._any_dead:
-                    ok &= alive_flat[targets]
-                fired = actors[ok]
-            else:
-                targets = self._sample_other_flat(actors, width, raw)
-                ok = snapshot[targets] == action.required[None, :]
-                if self._any_dead:
-                    ok &= alive_flat[targets]
-                if failure > 0.0:
-                    ok &= self._rng.random(targets.shape) >= failure
-                fired = actors[ok.all(axis=1)]
-            if action.kind == "sample":
-                return fired, action.edge_from
-            return self._deliver_tokens_batch(
-                action, fired, moved, segments, trial_members
-            )
-
-        if action.kind == "anyof":
-            targets = self._sample_other_flat(actors, action.fanout, raw)
-            ok = snapshot[targets] == action.match
-            if self._any_dead:
-                ok &= alive_flat[targets]
-            if failure > 0.0:
-                ok &= self._rng.random(targets.shape) >= failure
-            return actors[ok.any(axis=1)], action.edge_from
-
-        if action.kind == "push":
-            targets = self._sample_other_flat(actors, action.fanout, raw)
-            ok = snapshot[targets] == action.match
-            if self._any_dead:
-                ok &= alive_flat[targets]
-            if failure > 0.0:
-                ok &= self._rng.random(targets.shape) >= failure
-            converted = np.unique(targets[ok])
-            return converted, action.edge_from
-
-        raise AssertionError(f"unknown compiled kind {action.kind}")
-
-    def _deliver_tokens_batch(
-        self,
-        action,
-        fired: np.ndarray,
-        moved: np.ndarray,
-        segments: Callable[[int], Tuple[np.ndarray, np.ndarray]],
-        trial_members: Callable[[int, int], np.ndarray],
-    ) -> Tuple[np.ndarray, int]:
-        """Route fired tokens per trial (same semantics as RoundEngine).
-
-        Token delivery needs *exact* per-trial draw counts (trial ``m``
-        delivers ``min(tokens[m], pool[m])`` tokens), so the dense path
-        runs through :func:`segmented_choice`.  When only a handful of
-        trials fired a token, the per-trial loop is kept instead: it
-        reads just those trials' pool rows, which is cheaper than
-        gathering the token state's full batch-wide grouping.
-        """
-        if fired.size == 0:
-            return np.empty(0, dtype=np.int64), action.edge_from
-        tokens = np.bincount(fired // self.n, minlength=self.trials)
-        return self._deliver_tokens_counts(
-            action, tokens, moved, segments, trial_members
-        )
+        targets = self._sample_other_flat(actors, action.fanout, raw)
+        ok = snapshot[targets] == action.match
+        if self._any_dead:
+            ok &= alive_flat[targets]
+        if failure > 0.0:
+            ok &= self._rng.random(targets.shape) >= failure
+        return np.unique(targets[ok]), action.edge_from
 
     def _deliver_tokens_counts(
         self,
@@ -1118,9 +1038,14 @@ class BatchRoundEngine:
     ) -> Tuple[np.ndarray, int]:
         """Route ``tokens[m]`` fired tokens per trial to the token state.
 
-        The counts-based core of :meth:`_deliver_tokens_batch`: the
+        Same semantics as :meth:`RoundEngine._deliver_tokens`.  The
         planner's thinned tokenize path lands here directly, since
-        token routing never needs the firing actors' identities.
+        token routing never needs the firing actors' identities.  Token
+        delivery needs *exact* per-trial draw counts (trial ``m``
+        delivers ``min(tokens[m], pool[m])`` tokens), so the dense path
+        runs through :func:`segmented_choice`; when only a handful of
+        trials fired a token, a per-trial loop reads just those trials'
+        pool rows instead of the token state's batch-wide grouping.
         """
         empty = np.empty(0, dtype=np.int64)
         active = np.flatnonzero(tokens)
@@ -1168,7 +1093,7 @@ class BatchRoundEngine:
         return segmented_choice(self._rng, pool, bounds, take), action.edge_from
 
     def _sample_other_flat(
-        self, actors: np.ndarray, k: int, raw: Optional[np.ndarray] = None
+        self, actors: np.ndarray, k: int, raw: np.ndarray
     ) -> np.ndarray:
         """Uniform non-self targets for actors from any trial.
 
@@ -1176,13 +1101,10 @@ class BatchRoundEngine:
         one draw covers every trial's actors, and targets stay within
         each actor's own trial row.  ``raw`` is this action's slice of
         the period's fused ``integers(0, n - 1)`` draw (see
-        :meth:`step` phase 2); without it the draw happens here.
+        :meth:`step` phase 2).
         """
         hosts = actors % self.n
-        if raw is None:
-            targets = self._rng.integers(0, self.n - 1, size=(actors.size, k))
-        else:
-            targets = raw.reshape(actors.size, k)
+        targets = raw.reshape(actors.size, k)
         targets += targets >= hosts[:, None]
         return (actors - hosts)[:, None] + targets
 

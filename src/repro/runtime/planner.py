@@ -21,14 +21,18 @@ action at once:
    ``rng.multinomial`` call over a ``(groups, trials, actions + 1)``
    probability tensor -- replacing one ``rng.binomial`` call per action
    with one RNG call per period.
-2. **One selection pass per state, fused across dense states.**  A
+2. **Condition thinning.**  The splits of conditioned kinds are thinned
+   to their movers by the exact peer-match probability -- probability-1
+   actions included, whose split is simply the occupancy -- so no kind
+   but self-match ``push`` ever draws a peer target.
+3. **One selection pass per state, fused across dense states.**  A
    state's total firing count is drawn once and the winning actors are
    selected once (instead of once per action); all states in the dense
    probing regime share a single rejection-probe loop over global host
    ids (a (state, trial) segment generalization of the former
    per-action ``_sample_dense_actors``), so a multi-action protocol
    like LV pays for one probe pass per period, not four.
-3. **Partition, not re-draw.**  A state's selected actors arrive in
+4. **Partition, not re-draw.**  A state's selected actors arrive in
    uniform-random order (probe draw order, or an explicit segmented
    shuffle for sorted selections); splitting that permutation into
    consecutive runs of the multinomial counts assigns each actor to
@@ -112,11 +116,11 @@ class TrialMemberPools:
     action, so during planning and execution the pools always describe
     the period-start membership.
 
-    Row allocation is **lazy**: construction builds rows only for the
-    tracked states that actually hold members (one ``bincount`` over
-    the batch decides which), and a state that starts empty gets its
-    ``(M, n)`` row -- zero-filled, no batch scan -- the first time it
-    is referenced: the first :meth:`add` of members, or a
+    Row allocation is **lazy**: construction allocates one exact block
+    of rows for the tracked states that actually hold members (one
+    ``bincount`` over the batch decides which), and a state that starts
+    empty gets its ``(M, n)`` row -- zero-filled, no batch scan -- the
+    first time it is referenced: the first :meth:`add` of members, or a
     :meth:`members`/:meth:`grouped` lookup.  Memory is therefore
     ``O(occupied_states * M * n)`` int32 (~6 MB per occupied state at
     the paper scales M=64, n=10k; ~25 MB at M=64, n=100k) instead of
@@ -147,32 +151,33 @@ class TrialMemberPools:
         #: with allocated rows to their row indices; the rest allocate
         #: on first reference.
         self.tracked = frozenset(int(sid) for sid in sids)
-        self.slots: Dict[int, int] = {}
+        occupied: List[int] = []
+        if self.tracked:
+            # One batch-wide occupancy count decides which states get
+            # rows now; empty ones wait for their first reference.
+            counted = states_flat if alive_flat is None \
+                else states_flat[alive_flat]
+            counts = np.bincount(counted, minlength=max(self.tracked) + 1)
+            occupied = [sid for sid in sorted(self.tracked) if counts[sid]]
+        # The occupied states' rows: one exact block, allocated here.
+        self.slots: Dict[int, int] = {
+            sid: slot for slot, sid in enumerate(occupied)
+        }
         # int32 gids: half the gather/scatter traffic of the planner's
         # probe; batches are bounded far below 2**31 positions.
-        self.pool = np.zeros((0, trials, n), dtype=np.int32)
+        self.pool = np.zeros((len(occupied), trials, n), dtype=np.int32)
         self._pool_flat = self.pool.reshape(-1)
-        self.sizes = np.zeros((0, trials), dtype=np.int64)
+        self.sizes = np.zeros((len(occupied), trials), dtype=np.int64)
         #: Column of each pooled gid within its state's row.  Entries of
         #: gids not currently pooled are stale and never read.
         self.pos = np.zeros(trials * n, dtype=np.int64)
         self._flag = np.zeros(trials * n, dtype=bool)
         #: Memoized grouped() layouts, invalidated when a state's rows
         #: change -- near-stationary states (the endemic receptive
-        #: pool) then serve their full-prob actions without a rebuild.
+        #: pool) then serve their push targets without a rebuild.
         self._grouped_cache: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        if self.tracked:
-            # One batch-wide occupancy count decides which states get
-            # rows now; empty ones wait for their first reference.
-            counted = states_flat if alive_flat is None \
-                else states_flat[alive_flat]
-            occupied = np.bincount(
-                counted, minlength=max(self.tracked) + 1
-            )
-            for sid in sorted(self.tracked):
-                if occupied[sid]:
-                    self._allocate(sid)
-                    self._build(sid, states_flat, alive_flat)
+        for sid in occupied:
+            self._build(sid, states_flat, alive_flat)
 
     def _allocate(self, sid: int) -> int:
         """Assign (and zero) a row for ``sid``, growing the tensor."""
@@ -468,7 +473,8 @@ class TrialMemberPools:
 
 @dataclass
 class _CoinGroup:
-    """One actor state's sub-1.0-probability actions, fused."""
+    """One actor state's sub-1.0-probability actions, fused -- or one
+    probability-1 action alone, whose split is the whole occupancy."""
 
     sid: int
     indices: List[int]            # declaration indices, ascending
@@ -496,14 +502,16 @@ class ActionPlanner:
 
     The planner partitions the compiled actions statically:
 
-    * ``probability >= 1.0`` actions fire every member of their state
-      (planned from the engine's segment grouping, as before);
     * each state's ``0 < probability < 1`` actions form one
       :class:`_CoinGroup` handled by the multinomial split -- unless
       the state's probabilities sum above 1 (impossible for synthesized
       specs, whose normalizing constant bounds the per-state total, but
       expressible by hand-built specs), in which case that state falls
-      back to independent per-action binomials.
+      back to independent per-action binomials;
+    * each ``probability >= 1.0`` action forms its own width-1 group
+      with probability exactly 1, appended after the per-state groups:
+      its split is the occupancy, which then flows through the same
+      thinning, push law, token lifting and actor selection as a coin.
 
     :attr:`disjoint_movers` is True when the plan structure alone
     guarantees that no host can be moved twice in one period (all
@@ -526,16 +534,19 @@ class ActionPlanner:
         # expected firings, per-trial scans beat batch-wide passes.
         self._dense_threshold = max(4.0, trials / 4.0)
 
-        self.full_actions: List[Tuple[int, object]] = []
         self.coin_groups: List[_CoinGroup] = []
         self.fallback_groups: List[_CoinGroup] = []
         by_state: Dict[int, _CoinGroup] = {}
+        certain: List[_CoinGroup] = []
         for index, action in enumerate(compiled):
             probability = action.probability
             if probability <= 0.0:
                 continue
             if probability >= 1.0:
-                self.full_actions.append((index, action))
+                certain.append(_CoinGroup(
+                    sid=action.actor, indices=[index], actions=[action],
+                    probabilities=np.ones(1),
+                ))
                 continue
             group = by_state.get(action.actor)
             if group is None:
@@ -556,6 +567,7 @@ class ActionPlanner:
                 self.coin_groups.append(group)
             else:
                 self.fallback_groups.append(group)
+        self.coin_groups.extend(certain)
 
         # The fused (G, 1, K) probability tensor: row g holds group g's
         # action probabilities, zero padding, and the no-op remainder
@@ -575,29 +587,6 @@ class ActionPlanner:
             self._group_sids = np.empty(0, dtype=np.int64)
 
         self.disjoint_movers = self._movers_disjoint(compiled)
-
-        # Absorbing-state short-circuit: per action, the states that
-        # must be non-empty in a trial for the action to be observable
-        # there (condition targets; token pools).  A trial where one of
-        # them is empty cannot produce a mover, so its actors need not
-        # be selected at all -- message accounting still charges them
-        # (their sends happen regardless), keeping parity with the
-        # serial engine.  This is what makes converged LV trials (the
-        # minority camp extinct) essentially free while stragglers
-        # finish.
-        self._needs: Dict[int, Optional[np.ndarray]] = {}
-        for index, action in enumerate(compiled):
-            needed: List[int] = []
-            if action.kind in ("sample", "tokenize"):
-                needed.extend(int(sid) for sid in action.required)
-                if action.kind == "tokenize":
-                    needed.append(int(action.token_state))
-            elif action.kind in ("anyof", "push"):
-                needed.append(int(action.match))
-            unique = sorted(set(needed))
-            self._needs[index] = (
-                np.array(unique, dtype=np.int64) if unique else None
-            )
 
         # Peer-contact widths: messages an actor of each action sends
         # per period (0 for flips).  Summed once per period from the
@@ -650,7 +639,11 @@ class ActionPlanner:
         # ``push`` movers are *targets*, handled by their own analytic
         # law (``_plan_push``) whenever the match state differs from
         # the actor state; protocols whose coins are all flips skip
-        # thinning statically, leaving their draw stream untouched.
+        # thinning statically, leaving their draw stream untouched.  A
+        # trial whose condition state is empty thins to q = 0 and
+        # selects nobody, which is what makes converged LV trials (the
+        # minority camp extinct) essentially free while stragglers
+        # finish.
         coin_kinds = {
             a.kind
             for grp in (self.coin_groups + self.fallback_groups)
@@ -682,8 +675,8 @@ class ActionPlanner:
         states are disjoint by definition and the multinomial split
         makes actors within a state fire at most one action -- unless a
         state mixes a ``probability >= 1.0`` action (which fires every
-        member) with any other action, or needed the independent-coin
-        fallback.
+        member) with any other action, i.e. holds two groups, or needed
+        the independent-coin fallback.
         """
         if self.fallback_groups:
             return False
@@ -692,12 +685,8 @@ class ActionPlanner:
             for action in compiled if action.probability > 0.0
         ):
             return False
-        full_sids = [action.actor for _, action in self.full_actions]
-        if len(set(full_sids)) != len(full_sids):
-            return False  # two all-member actions on one state
-        if {g.sid for g in self.coin_groups} & set(full_sids):
-            return False  # all-member action overlaps a coin group
-        return True
+        sids = [g.sid for g in self.coin_groups]
+        return len(set(sids)) == len(sids)
 
     # ------------------------------------------------------------------
     # Per-period planning
@@ -718,37 +707,11 @@ class ActionPlanner:
         lookups.  Returns ``(plans, messages)``: ``(action, actors)``
         pairs in action declaration order (empty selections omitted)
         plus the period's exact per-trial peer-contact counts --
-        charged from the splits, so short-circuited trials still pay
-        for the sends their unobservable actors make.
+        charged from the splits, so thinned-away trials still pay for
+        the sends their unobservable actors make.
         """
         plans: Dict[int, PlannedAction] = {}
         messages = np.zeros(self.trials, dtype=np.int64)
-        # One cheap period-wide gate: when no (trial, state) cell is
-        # empty, every per-action fireability mask is trivially None.
-        any_empty = bool((counts0 == 0).any())
-        for index, action in self.full_actions:
-            actor_counts = counts0[:, action.actor]
-            if not actor_counts.any():
-                continue
-            width = self._msg_width[index]
-            if width:
-                messages += width * actor_counts
-            if self._push_analytic[index]:
-                # Every member fires, so the heads are the counts; the
-                # movers come straight from the analytic conversion law.
-                self._plan_push(
-                    plans, rng, index, action, actor_counts, counts0,
-                    segments,
-                )
-                continue
-            actors = segments(action.actor)[0]
-            if any_empty:
-                fireable = self._fireable(counts0, index)
-                if fireable is not None:
-                    actors = actors[fireable[actors // self.n]]
-            if actors.size:
-                plans[index] = PlannedAction(action, actors)
-
         if self.coin_groups:
             occupancy = counts0[:, self._group_sids].T  # (G, M)
             splits_all = rng.multinomial(occupancy, self._pvals)
@@ -758,7 +721,11 @@ class ActionPlanner:
                 )
             else:
                 movers_all = splits_all[:, :, :-1]
-            dense: List[Tuple[_CoinGroup, np.ndarray, np.ndarray]] = []
+            # Dense selections, split into probe passes holding each
+            # state at most once: a probability-1 group shares its state
+            # with other groups, and one pass's ``taken`` mask would make
+            # their (independent) selections disjoint.
+            passes: List[List[Tuple[_CoinGroup, np.ndarray, np.ndarray]]] = []
             for g, group in enumerate(self.coin_groups):
                 if self._group_has_width[g]:
                     # Messages charge the unthinned coin counts: every
@@ -803,7 +770,13 @@ class ActionPlanner:
                 if group.psum * total >= self._dense_threshold:
                     if self._probe_viable(take, actor_counts, group.sid,
                                           pools):
-                        dense.append((group, splits, take))
+                        entry = (group, splits, take)
+                        for dense in passes:
+                            if all(o.sid != group.sid for o, _, _ in dense):
+                                dense.append(entry)
+                                break
+                        else:
+                            passes.append([entry])
                         continue
                     grouped, bounds = segments(group.sid)
                     actors = _segmented_choice(rng, grouped, bounds, take)
@@ -823,7 +796,7 @@ class ActionPlanner:
                     for trial in active
                 ])
                 self._partition(plans, rng, group, actors, take, splits)
-            if dense:
+            for dense in passes:
                 self._plan_dense(plans, rng, dense, pools)
 
         for group in self.fallback_groups:
@@ -951,26 +924,6 @@ class ActionPlanner:
             grouped[np.repeat(bounds[:-1], hits) + positions]
         )
         plans[index] = PlannedAction(action, movers, prefired=True)
-
-    def _fireable(
-        self, counts0: np.ndarray, index: int
-    ) -> Optional[np.ndarray]:
-        """Per-trial mask of trials where action ``index`` can fire.
-
-        ``None`` means every trial can (the common case, returned
-        without allocating).  Depends only on period-start counts, so
-        replays stay deterministic.
-        """
-        needed = self._needs[index]
-        if needed is None:
-            return None
-        if needed.size == 1:
-            mask = counts0[:, int(needed[0])] > 0
-        else:
-            mask = np.all(counts0[:, needed] > 0, axis=1)
-        if mask.all():
-            return None
-        return mask
 
     # ------------------------------------------------------------------
     # Partitioning a state's selection across its actions

@@ -14,11 +14,18 @@ import pytest
 
 from statutil import assert_binomial_count
 
+from repro.protocols.epidemic import pull_protocol
 from repro.protocols.lv import lv_protocol
 from repro.runtime import BatchRoundEngine, RoundEngine, TrialMemberPools
 from repro.runtime.planner import ActionPlanner
 from repro.runtime.round_engine import _compile
-from repro.synthesis.actions import FlipAction, PushAction, SampleAction
+from repro.synthesis.actions import (
+    AnyOfSampleAction,
+    FlipAction,
+    PushAction,
+    SampleAction,
+    TokenizeAction,
+)
 from repro.synthesis.protocol import ProtocolSpec
 
 
@@ -36,13 +43,38 @@ def flip_spec(probabilities=(0.1, 0.2, 0.3)):
     )
 
 
+def anyof_spec(fanout=2, extra=()):
+    """The endemic pull shape: every ``x`` contacts ``fanout`` peers,
+    any ``y`` among them converts it (a probability-1 ``anyof``)."""
+    actions = (
+        AnyOfSampleAction(
+            actor_state="x", probability=1.0, target_state="y",
+            match_state="y", fanout=fanout,
+        ),
+    ) + tuple(extra)
+    return ProtocolSpec(
+        name="anyof-pull", states=("x", "y", "z"), actions=actions,
+    )
+
+
 def reset_all(engine, counts):
-    """Force every trial back to an exact per-state layout."""
+    """Force every trial (or a serial engine) back to an exact layout."""
     bounds = np.cumsum([0] + [c for _, c in counts])
     hosts = np.arange(engine.n)
-    for view in engine.trial_views():
+    views = engine.trial_views() if hasattr(engine, "trial_views") \
+        else [engine]
+    for view in views:
         for (state, _), lo, hi in zip(counts, bounds[:-1], bounds[1:]):
             view.set_states(hosts[lo:hi], state)
+
+
+def moved_along(engine, layout, periods, edge):
+    """Total movers along ``edge`` over ``periods`` steps from ``layout``."""
+    total = 0
+    for _ in range(periods):
+        reset_all(engine, layout)
+        total += int(np.sum(engine.step().get(edge, 0)))
+    return total
 
 
 class TestMultinomialSplit:
@@ -190,6 +222,132 @@ class TestConditionThinning:
         assert_binomial_count(
             total, n * trials * periods, 0.03,
             context="messages from unfireable trials",
+        )
+
+    @pytest.mark.parametrize("loss", [0.0, 0.4])
+    @pytest.mark.parametrize("tier", ["batch", "serial"])
+    def test_full_anyof_movers_match_analytic_law(self, tier, loss):
+        """Probability-1 anyof: movers ~ Binomial(c_x, 1-(1-c_y/(n-1))^b)."""
+        n, trials, periods, b = 1_000, 4, 100, 2
+        xs, ys = 600, 400
+        initial = {"x": xs, "y": ys}
+        if tier == "batch":
+            engine = BatchRoundEngine(
+                anyof_spec(b), n=n, trials=trials, initial=initial,
+                seed=24, connection_failure_rate=loss,
+            )
+        else:
+            engine = RoundEngine(
+                anyof_spec(b), n=n, initial=initial, seed=24,
+                connection_failure_rate=loss,
+            )
+            periods *= trials
+            trials = 1
+        total = moved_along(
+            engine, [("x", xs), ("y", ys)], periods, ("x", "y")
+        )
+        q = 1.0 - (1.0 - (1.0 - loss) * ys / (n - 1)) ** b
+        assert_binomial_count(
+            total, xs * trials * periods, q,
+            context=f"{tier} probability-1 anyof movers (loss {loss})",
+        )
+
+    @pytest.mark.parametrize("loss", [0.0, 0.4])
+    def test_full_sample_movers_match_analytic_law(self, loss):
+        """The epidemic-pull shape: a probability-1 one-peer sample."""
+        spec = pull_protocol()
+        (action,) = spec.actions
+        assert action.probability >= 1.0
+        n, trials, periods = 1_000, 4, 100
+        xs, ys = 700, 300
+        engine = BatchRoundEngine(
+            spec, n=n, trials=trials, initial={"x": xs, "y": ys},
+            seed=25, connection_failure_rate=loss,
+        )
+        total = moved_along(
+            engine, [("x", xs), ("y", ys)], periods, ("x", "y")
+        )
+        assert_binomial_count(
+            total, xs * trials * periods, (1.0 - loss) * ys / (n - 1),
+            context=f"probability-1 sample movers (loss {loss})",
+        )
+
+    def test_full_tokenize_delivers_thinned_tokens(self):
+        """Delivered tokens ~ Binomial(c_w, c_y/(n-1)) while z lasts."""
+        spec = ProtocolSpec(
+            name="token-law", states=("w", "y", "z", "u"),
+            actions=(
+                TokenizeAction(
+                    actor_state="w", probability=1.0, target_state="u",
+                    required_states=("y",), token_state="z",
+                ),
+            ),
+        )
+        n, trials, periods = 1_000, 4, 100
+        layout = [("w", 300), ("y", 400), ("z", 300)]
+        engine = BatchRoundEngine(
+            spec, n=n, trials=trials, initial=dict(layout), seed=26
+        )
+        # ~120 tokens against a 300-host pool: delivery never runs dry.
+        total = moved_along(engine, layout, periods, ("z", "u"))
+        engine._validate_consistency()
+        assert_binomial_count(
+            total, 300 * trials * periods, 400 / (n - 1),
+            context="probability-1 tokenize deliveries",
+        )
+
+    @pytest.mark.parametrize("trials, members", [(3, 300), (1, 3)])
+    def test_full_flip_moves_every_member(self, trials, members):
+        """q = 1 and a split equal to the occupancy: everyone moves
+        (dense and per-trial selection paths alike)."""
+        spec = flip_spec((1.0,))
+        engine = BatchRoundEngine(
+            spec, n=500, trials=trials,
+            initial={"a": members, "t0": 500 - members}, seed=27,
+        )
+        transitions = engine.step()
+        assert np.array_equal(
+            transitions[("a", "t0")], np.full(trials, members)
+        )
+        assert not engine.counts("a").any()
+        engine._validate_consistency()
+
+    def test_full_action_beside_a_coin(self):
+        """A probability-1 action and a coin on one state select
+        independently: movers may collide (resolved in declaration
+        order), so ``disjoint_movers`` stays False, the population is
+        conserved, and the coin's movers follow ``p * (1 - q)``."""
+        coin = 0.2
+        spec = anyof_spec(
+            fanout=2,
+            extra=(
+                FlipAction(actor_state="x", probability=coin,
+                           target_state="z"),
+            ),
+        )
+        n, trials, periods = 1_000, 4, 100
+        layout = [("x", 600), ("y", 100), ("z", 300)]
+        engine = BatchRoundEngine(
+            spec, n=n, trials=trials, initial=dict(layout), seed=28
+        )
+        assert not engine._planner.disjoint_movers
+        pulled = flipped = 0
+        for _ in range(periods):
+            reset_all(engine, layout)
+            transitions = engine.step()
+            engine._validate_consistency()
+            assert np.all(engine.counts_matrix().sum(axis=1) == n)
+            pulled += int(transitions.get(("x", "y"), 0).sum())
+            flipped += int(transitions.get(("x", "z"), 0).sum())
+        q = 1.0 - (1.0 - 100 / (n - 1)) ** 2
+        draws = 600 * trials * periods
+        assert_binomial_count(
+            pulled, draws, q, comparisons=2,
+            context="probability-1 anyof beside a coin",
+        )
+        assert_binomial_count(
+            flipped, draws, coin * (1.0 - q), comparisons=2,
+            context="coin movers after declaration-order conflicts",
         )
 
 
@@ -385,15 +543,6 @@ class TestAnalyticPushLaw:
         per_contact = (1.0 - f) / (n - 1)
         return c_match * (1.0 - (1.0 - per_contact) ** contacts)
 
-    def accumulate(self, engine, layout, periods, edge=("m", "t")):
-        total = 0
-        for _ in range(periods):
-            reset_all(engine, layout)
-            transitions = engine.step()
-            count = transitions.get(edge, 0)
-            total += int(np.sum(count))
-        return total
-
     def test_full_push_matches_analytic_mean(self):
         """probability >= 1: every actor fires, conversions exact."""
         n, trials, periods = 1_000, 4, 120
@@ -404,7 +553,7 @@ class TestAnalyticPushLaw:
             initial={"a": a, "m": m, "t": n - a - m}, seed=31,
         )
         layout = [("a", a), ("m", m), ("t", n - a - m)]
-        total = self.accumulate(engine, layout, periods)
+        total = moved_along(engine, layout, periods, ("m", "t"))
         expected = self.expected_conversions(a * 2, m, n)
         # Conversions of different members share contacts, so the count
         # is not exactly binomial; the dependence is O(contacts/n) and
@@ -444,7 +593,7 @@ class TestAnalyticPushLaw:
             connection_failure_rate=0.4,
         )
         layout = [("a", a), ("m", m), ("t", n - a - m)]
-        total = self.accumulate(engine, layout, periods)
+        total = moved_along(engine, layout, periods, ("m", "t"))
         expected = self.expected_conversions(a * 2, m, n, f=0.4)
         assert_binomial_count(
             total, trials * periods * m, expected / m,
@@ -467,7 +616,7 @@ class TestAnalyticPushLaw:
         ]
         assert compiled_kinds, "coin push must form a coin group"
         layout = [("a", a), ("m", m), ("t", n - a - m)]
-        total = self.accumulate(engine, layout, periods)
+        total = moved_along(engine, layout, periods, ("m", "t"))
         # E[conversions] = c_m * (1 - E[(1 - s)**(H*fanout)]) with
         # H ~ Binomial(a, p): the inner expectation is the binomial
         # generating function at (1 - s)**fanout.
@@ -478,6 +627,28 @@ class TestAnalyticPushLaw:
         assert_binomial_count(
             total, trials * periods * m, expected / m,
             context="coin push conversions",
+        )
+
+    def test_full_push_beside_a_coin(self):
+        """The endemic stasher shape: a probability-1 push sharing its
+        state with a flip coin keeps the full-push law."""
+        n, trials, periods = 1_000, 4, 120
+        a, m = 300, 500
+        extra = (
+            FlipAction(actor_state="a", probability=0.3, target_state="t"),
+        )
+        spec = push_spec(probability=1.0, fanout=2, extra=extra)
+        engine = BatchRoundEngine(
+            spec, n=n, trials=trials,
+            initial={"a": a, "m": m, "t": n - a - m}, seed=39,
+        )
+        assert not engine._planner.disjoint_movers
+        layout = [("a", a), ("m", m), ("t", n - a - m)]
+        total = moved_along(engine, layout, periods, ("m", "t"))
+        expected = self.expected_conversions(a * 2, m, n)
+        assert_binomial_count(
+            total, trials * periods * m, expected / m,
+            context="probability-1 push beside a coin",
         )
 
     def test_empty_match_state_draws_nothing(self):
@@ -527,7 +698,7 @@ class TestAnalyticPushLaw:
         )
         assert engine._planner.fallback_groups
         layout = [("a", a), ("m", m), ("t", n - a - m)]
-        total = self.accumulate(engine, layout, periods)
+        total = moved_along(engine, layout, periods, ("m", "t"))
         per_contact = 1.0 / (n - 1)
         miss = (1.0 - per_contact) ** 2
         gen = (1.0 - 0.6 + 0.6 * miss) ** a
@@ -571,7 +742,16 @@ class TestLazyPoolRows:
         pools = TrialMemberPools([0, 1, 2], trials, n, states)
         assert set(pools.slots) == {0}
         assert pools.tracked == frozenset({0, 1, 2})
-        assert pools.pool.shape[0] >= 1
+        assert pools.pool.shape[0] == 1
+
+    def test_construction_allocates_one_row_per_occupied_state(self):
+        """The endemic shape: three occupied states, exactly three rows."""
+        trials, n = 2, 30
+        states = np.arange(trials * n, dtype=np.int8) % 3
+        pools = TrialMemberPools([0, 1, 2, 3], trials, n, states)
+        assert set(pools.slots) == {0, 1, 2}
+        assert pools.pool.shape == (3, trials, n)
+        assert pools.sizes.shape == (3, trials)
 
     def test_read_of_empty_state_allocates_empty_row(self):
         trials, n = 3, 50
