@@ -1,19 +1,16 @@
-"""Command-line interface: classify, synthesize and simulate equations.
+"""Command-line interface: classify, synthesize and run equations.
 
 Usage::
 
     python -m repro run       equations.txt|protocol-name --n 10000
                                --trials 16 [--periods 200] [--param ...]
                                [--scenario massive-failure]
-                               [--engine auto|serial|batch|lockstep|agent]
+                               [--engine auto|serial|batch|agent]
                                [--workers 4]
                                [--seed 42] [--loss-rate 0.05] [--plot]
     python -m repro classify  equations.txt [--param beta=4 ...]
     python -m repro synthesize equations.txt [--param ...] [--p 0.01]
                                [--failure-rate 0.1] [--no-rewrite]
-    python -m repro simulate  equations.txt --n 10000 --periods 200
-                               [--initial x=9999 --initial y=1]
-                               [--seed 42] [--plot]
     python -m repro campaign  [--config spec.json | --protocol lv --n 1000
                                --loss-rate 0.05 --scenario massive-failure]
                                [--trials 16] [--periods 200] [--workers 4]
@@ -64,7 +61,7 @@ from .campaign import (
 from .experiment import ENGINES, Experiment, Protocol, parse_param_directives
 from .runtime.exec import BACKENDS, ON_ERROR_MODES, FaultPolicy
 from .odes import ParseError, auto_rewrite, classify, find_equilibria, integrate, parse_system
-from .runtime import MetricsRecorder, RoundEngine, spawn_seeds
+from .runtime import spawn_seeds
 from .synthesis import SynthesisError, synthesize
 from .viz import format_table, render_series
 
@@ -129,42 +126,6 @@ def cmd_synthesize(args) -> int:
     print()
     print(f"message complexity: {spec.message_complexity()}")
     print(f"one period = {spec.time_scale:g} time units of the equations")
-    return 0
-
-
-def cmd_simulate(args) -> int:
-    system = _load_system(args)
-    if not classify(system).mappable:
-        system = auto_rewrite(system)
-    try:
-        spec = synthesize(system, p=args.p, failure_rate=args.failure_rate)
-    except SynthesisError as exc:
-        print(f"synthesis failed: {exc}", file=sys.stderr)
-        return 1
-    initial = _parse_bindings(args.initial, "initial")
-    if not initial:
-        # Default: everyone in the first state, one process in the second.
-        first, second = spec.states[0], spec.states[1]
-        initial = {first: args.n - 1, second: 1}
-    engine = RoundEngine(
-        spec, n=args.n, initial=initial, seed=args.seed,
-        connection_failure_rate=args.failure_rate,
-    )
-    recorder = MetricsRecorder(spec.states, stride=max(1, args.periods // 200))
-    engine.run(args.periods, recorder=recorder)
-    counts = engine.counts()
-    print(f"after {args.periods} periods "
-          f"(= {spec.time_for_periods(args.periods):g} time units):")
-    for state in spec.states:
-        print(f"  {state}: {counts[state]}")
-    if args.plot:
-        print()
-        print(render_series(
-            recorder.times,
-            {s: recorder.counts(s) for s in spec.states},
-            width=70, height=16,
-            title=f"{spec.name} (N={args.n})",
-        ))
     return 0
 
 
@@ -270,7 +231,7 @@ def cmd_run(args) -> int:
           f"periods={args.periods}  seed={experiment.seed}"
           + ((f"  workers={args.workers}"
               + (f" (shards={result.shards})"
-                 if result.engine in ("batch", "lockstep") else ""))
+                 if result.engine == "batch" else ""))
              if args.workers > 1 else "")
           + (f"  scenario={args.scenario}"
              if args.scenario not in (None, "none") else "")
@@ -521,8 +482,6 @@ def _campaign_spec_from_args(args) -> CampaignSpec:
             spec.base_seed = args.seed
         if args.stride is not None:
             spec.stride = args.stride
-        if args.mode is not None:
-            spec.mode = args.mode
         if args.shards is not None:
             spec.shards = args.shards
         return spec
@@ -537,7 +496,6 @@ def _campaign_spec_from_args(args) -> CampaignSpec:
         periods=args.periods if args.periods is not None else 100,
         base_seed=args.seed if args.seed is not None else 0,
         stride=args.stride if args.stride is not None else 1,
-        mode=args.mode if args.mode is not None else "batch",
         shards=args.shards if args.shards is not None else 1,
     )
 
@@ -559,6 +517,20 @@ def _fault_policy_from_args(args) -> Optional[FaultPolicy]:
         )
     except ValueError as exc:
         raise SystemExit(f"invalid fault policy: {exc}")
+
+
+def _add_fault_policy_arguments(parser, on_error_help: str) -> None:
+    """The work-unit fault-policy flags shared by ``run`` and ``campaign``."""
+    parser.add_argument("--on-error", choices=ON_ERROR_MODES,
+                        default="raise", help=on_error_help)
+    parser.add_argument("--retries", type=int, default=2,
+                        help="extra attempts per work unit under "
+                             "--on-error retry/skip (default 2)")
+    parser.add_argument("--unit-timeout", type=float, default=None,
+                        metavar="SECONDS",
+                        help="wall-clock bound per work-unit attempt; "
+                             "an expired attempt fails like any other "
+                             "fault")
 
 
 def _add_backend_arguments(parser) -> None:
@@ -622,7 +594,6 @@ def cmd_campaign(args) -> int:
                 ("--periods", args.periods is not None),
                 ("--seed", args.seed is not None),
                 ("--stride", args.stride is not None),
-                ("--mode", args.mode is not None),
                 ("--shards", args.shards is not None),
                 ("--workers", args.workers != 1),
                 ("--out", bool(args.out)),
@@ -688,7 +659,6 @@ def cmd_campaign(args) -> int:
                 ("--periods", args.periods is not None),
                 ("--seed", args.seed is not None),
                 ("--stride", args.stride is not None),
-                ("--mode", args.mode is not None),
                 ("--shards", args.shards is not None),
                 ("--save-tensors", bool(args.save_tensors)),
                 ("--dry-run", args.dry_run),
@@ -750,8 +720,7 @@ def cmd_campaign(args) -> int:
         print(f"invalid campaign: {exc}", file=sys.stderr)
         return 1
     print(f"campaign {spec.name!r}: {len(points)} points x "
-          f"{spec.trials} trials x {spec.periods} periods "
-          f"(engine mode: {spec.mode})")
+          f"{spec.trials} trials x {spec.periods} periods")
     if args.dry_run:
         print()
         print(format_table(
@@ -1089,7 +1058,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--engine", choices=ENGINES, default="auto",
                        help="engine tier (default auto: serial for one "
                             "trial, batch for ensembles; 'agent' runs "
-                            "the ensemble on the asynchronous DES tier)")
+                            "the ensemble on the asynchronous DES tier; "
+                            "'lockstep' is an alias of serial)")
     p_run.add_argument("--scenario", default=None,
                        help="failure scenario name (see campaign "
                             "--dry-run for the registry); makes the "
@@ -1111,28 +1081,19 @@ def build_parser() -> argparse.ArgumentParser:
                        help="record every stride-th period")
     p_run.add_argument("--workers", type=int, default=1,
                        help="processes to fan the trial axis across "
-                            "(batch/lockstep: trials split into "
+                            "(batch: trials split into "
                             "min(workers, trials) campaign-style shards, "
                             "and the shard count is part of the run's "
                             "stream identity; agent: whole trials fan "
                             "out, results are worker-independent)")
-    p_run.add_argument("--on-error", choices=ON_ERROR_MODES,
-                       default="raise",
-                       help="work-unit fault policy on the execution "
-                            "layer (agent tier, or --workers > 1): "
-                            "raise aborts on the first unit failure, "
-                            "retry re-runs the same payload with "
-                            "capped backoff (bitwise identical), skip "
-                            "keeps the surviving trials and reports "
-                            "the losses")
-    p_run.add_argument("--retries", type=int, default=2,
-                       help="extra attempts per work unit under "
-                            "--on-error retry/skip (default 2)")
-    p_run.add_argument("--unit-timeout", type=float, default=None,
-                       metavar="SECONDS",
-                       help="wall-clock bound per work-unit attempt; "
-                            "an expired attempt fails like any other "
-                            "fault")
+    _add_fault_policy_arguments(
+        p_run,
+        "work-unit fault policy on the execution layer (agent tier, or "
+        "--workers > 1): raise aborts on the first unit failure, retry "
+        "re-runs the same payload with capped backoff (bitwise "
+        "identical), skip keeps the surviving trials and reports the "
+        "losses",
+    )
     _add_backend_arguments(p_run)
     p_run.add_argument("--show-protocol", action="store_true",
                        help="print the synthesized state machine")
@@ -1174,21 +1135,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="integration horizon for --trajectory")
     p_analyze.set_defaults(func=cmd_analyze)
 
-    p_sim = sub.add_parser("simulate", help="run the synthesized protocol")
-    common(p_sim)
-    p_sim.add_argument("--p", type=float, default=None)
-    p_sim.add_argument("--failure-rate", type=float, default=0.0)
-    p_sim.add_argument("--n", type=int, default=10_000, help="group size")
-    p_sim.add_argument("--periods", type=int, default=100)
-    p_sim.add_argument("--seed", type=int, default=None)
-    p_sim.add_argument("--initial", action="append", default=[],
-                       metavar="STATE=COUNT",
-                       help="initial counts (default: all in first state, "
-                            "1 in second)")
-    p_sim.add_argument("--plot", action="store_true",
-                       help="ASCII plot of the state counts")
-    p_sim.set_defaults(func=cmd_simulate)
-
     p_camp = sub.add_parser(
         "campaign",
         help="run a declarative experiment grid on the batch engine",
@@ -1217,9 +1163,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="campaign base seed (default 0)")
     p_camp.add_argument("--stride", type=int, default=None,
                         help="record every stride-th period (default 1)")
-    p_camp.add_argument("--mode", choices=("batch", "lockstep"),
-                        default=None,
-                        help="batch engine RNG mode (default batch)")
     p_camp.add_argument("--shards", type=int, default=None,
                         help="split each point's trial axis into this "
                              "many independently seeded sub-ensembles "
@@ -1243,21 +1186,13 @@ def build_parser() -> argparse.ArgumentParser:
                              "restored, only missing ones re-run, and "
                              "the final results are bitwise identical "
                              "to an uninterrupted run")
-    p_camp.add_argument("--on-error", choices=ON_ERROR_MODES,
-                        default="raise",
-                        help="work-unit fault policy: raise aborts the "
-                             "campaign on the first failure (completed "
-                             "points stay checkpointed), retry re-runs "
-                             "the same unit payload with capped backoff "
-                             "(bitwise identical), skip isolates the "
-                             "failure to its point and completes the "
-                             "rest")
-    p_camp.add_argument("--retries", type=int, default=2,
-                        help="extra attempts per work unit under "
-                             "--on-error retry/skip (default 2)")
-    p_camp.add_argument("--unit-timeout", type=float, default=None,
-                        metavar="SECONDS",
-                        help="wall-clock bound per work-unit attempt")
+    _add_fault_policy_arguments(
+        p_camp,
+        "work-unit fault policy: raise aborts the campaign on the first "
+        "failure (completed points stay checkpointed), retry re-runs the "
+        "same unit payload with capped backoff (bitwise identical), skip "
+        "isolates the failure to its point and completes the rest",
+    )
     _add_backend_arguments(p_camp)
     p_camp.set_defaults(func=cmd_campaign)
 

@@ -157,7 +157,6 @@ def _make_engine(point: CampaignPoint) -> BatchRoundEngine:
         initial=resolved.initial,
         seed=point.seed,
         connection_failure_rate=point.loss_rate,
-        mode=point.mode,
     )
 
 
@@ -431,7 +430,8 @@ def _restore_completed(
 
     Verifies spec identity first: resuming under a different spec
     would splice points from two different campaigns into one result,
-    so anything but an exact ``spec.to_dict()`` match is an error.
+    so anything but an exact match of the normalized specs
+    (``CampaignSpec.from_dict(...).to_dict()``) is an error.
     Entries count as restorable only when they are ``done``, embed
     their ``result``, match the re-expanded point exactly, and their
     tensor file (when one was recorded) still exists -- anything else
@@ -445,7 +445,13 @@ def _restore_completed(
             f"{resume_dir} has no {MANIFEST_NAME}; only campaigns run "
             f"with save_tensors (--save-tensors) are resumable"
         )
-    if manifest.get("spec") != spec.to_dict():
+    # Normalizing lets manifests stored with the removed ``mode`` key
+    # resume; any other stored mode raises its own ValueError here.
+    try:
+        recorded = CampaignSpec.from_dict(manifest["spec"]).to_dict()
+    except (KeyError, TypeError):
+        recorded = None
+    if recorded != spec.to_dict():
         raise ValueError(
             f"resume spec mismatch: the manifest in {resume_dir} was "
             f"written by a different campaign spec; --resume re-runs "
@@ -711,7 +717,7 @@ def replay_point(point: CampaignPoint) -> np.ndarray:
     """Re-run a point and return its full ``(M, periods, S)`` count tensor.
 
     Campaign seeds are recorded in specs and results, so the same point
-    always reproduces the same tensor (same numpy version and mode);
+    always reproduces the same tensor (same numpy version);
     trial rows follow the merged shard order, i.e. the recorded
     ``trial_seeds``.
     """

@@ -12,15 +12,16 @@ Engine auto-selection (``engine="auto"``):
 
 * ``trials == 1`` -> the **serial** :class:`RoundEngine` (single-run
   studies, and anything whose hooks must see a real engine);
-* ``trials > 1`` -> the **batch** :class:`BatchRoundEngine` in its
-  vectorized mode (ensembles: means, quantile bands, frequencies).
+* ``trials > 1`` -> the vectorized **batch** :class:`BatchRoundEngine`
+  (ensembles: means, quantile bands, frequencies).
 
 Explicit tiers: ``engine="serial"`` runs ``trials`` seeded
-:class:`RoundEngine` instances (seeds from
-:func:`~repro.runtime.rng.spawn_seeds`); ``engine="lockstep"`` runs
-the batch engine's lockstep mode, which is *bit-identical* to the
-serial tier trial for trial (the validation bridge);
-``engine="batch"`` forces the vectorized mode (statistically
+:class:`RoundEngine` instances through
+:func:`~repro.runtime.batch_engine.serial_ensemble` (seeds from
+:func:`~repro.runtime.rng.spawn_seeds`), so every trial replays alone
+draw for draw; ``engine="lockstep"`` is an alias of ``"serial"``
+(:attr:`Experiment.chosen_engine` resolves it);
+``engine="batch"`` forces the vectorized engine (statistically
 equivalent, not draw-for-draw); ``engine="agent"`` runs ``trials``
 seeded :class:`AgentSimulation` instances -- the asynchronous DES tier
 (arbitrary period phases, latency, drift), as an ensemble with the
@@ -35,12 +36,13 @@ import secrets
 import time
 from typing import Mapping, Optional, Union
 
-from ..runtime.batch_engine import BatchMetricsRecorder, BatchRoundEngine
+from ..runtime.batch_engine import (
+    BatchMetricsRecorder,
+    BatchRoundEngine,
+    serial_ensemble,
+)
 from ..runtime.exec import BACKENDS, FaultPolicy
-from ..runtime.metrics import MetricsRecorder
 from ..runtime.parallel import AgentEnsemble, ShardedBatchExecutor
-from ..runtime.round_engine import RoundEngine
-from ..runtime.rng import spawn_seeds
 from .protocol import Protocol
 from .result import ExperimentResult
 from .scenario import RunContext, Scenario
@@ -65,15 +67,16 @@ class Experiment:
         Fault injection: ``None``, a registry scenario name, a
         :class:`Scenario`, or a per-trial hook factory.
     seed:
-        Root seed.  Serial and lockstep engines spawn per-trial seeds
-        from it, so their trials agree bit for bit; scenario seeds come
+        Root seed.  The serial and agent tiers spawn per-trial seeds
+        from it (``spawn_seeds(seed, trials)``); scenario seeds come
         from a domain-separated family (campaign-compatible).  ``None``
         draws a fresh root seed, recorded on :attr:`seed`, so every
         run -- including its fault injection -- remains reproducible
         after the fact.
     engine:
-        ``"auto"`` (default), ``"serial"``, ``"batch"`` or
-        ``"lockstep"``; see the module docstring.
+        ``"auto"`` (default), ``"serial"``, ``"batch"`` or ``"agent"``
+        (``"lockstep"`` is accepted as an alias of ``"serial"``); see
+        the module docstring.
     loss_rate:
         Per-connection failure probability (Section 3's ``f``).
     stride:
@@ -87,7 +90,7 @@ class Experiment:
         summing to ``n`` or fractions summing to 1).
     workers:
         Processes to fan the trial axis across (default 1).  With
-        ``workers > 1`` the batch/lockstep tiers run through
+        ``workers > 1`` the batch tier runs through
         :class:`~repro.runtime.parallel.ShardedBatchExecutor`: the
         trials split into ``min(workers, trials)`` campaign-style
         shards (seed family spawned from ``(seed, SHARD_DOMAIN)``) and
@@ -99,12 +102,13 @@ class Experiment:
         campaign ``--shards`` documents).  The agent tier fans whole
         trials across the pool (each trial owns its RNG stream, so the
         result is bitwise independent of ``workers``, clamped to
-        ``trials``).  The serial tier ignores it.
+        ``trials``).  The serial tier (and its ``"lockstep"`` alias)
+        ignores it, as it ignores ``backend``.
     on_error, retries, unit_timeout:
         The execution layer's fault policy
         (:class:`~repro.runtime.exec.FaultPolicy`), applied wherever
         the run decomposes into work units (the agent tier, and the
-        batch/lockstep tiers with ``workers > 1``).  ``on_error``:
+        batch tier with ``workers > 1``).  ``on_error``:
         ``"raise"`` (default) aborts on the first unit failure,
         ``"retry"`` re-runs a failed unit's exact payload up to
         ``retries`` times with capped backoff (retries cannot perturb
@@ -124,7 +128,7 @@ class Experiment:
         connected worker processes with heartbeats, dead-worker
         re-dispatch and elastic worker counts -- results are bitwise
         identical either way (plan contract clause 5).  With
-        ``backend="cluster"`` the batch/lockstep tiers route through
+        ``backend="cluster"`` the batch tier routes through
         the sharded executor even at ``workers=1`` (a single shard
         keeps the root seed, so results still match the unsharded
         run bit for bit).
@@ -218,7 +222,14 @@ class Experiment:
     # ------------------------------------------------------------------
     @property
     def chosen_engine(self) -> str:
-        """The tier that will run: auto resolves to serial or batch."""
+        """The tier that will run.
+
+        ``"auto"`` resolves to serial or batch by trial count, and
+        ``"lockstep"`` (the name of the former bit-identical batch
+        mode) to ``"serial"``.
+        """
+        if self.engine == "lockstep":
+            return "serial"
         if self.engine != "auto":
             return self.engine
         return "serial" if self.trials == 1 else "batch"
@@ -234,7 +245,6 @@ class Experiment:
             periods=self.periods,
             seed=self.seed,
             stride=self.stride,
-            mode=self.chosen_engine,
         )
 
     # ------------------------------------------------------------------
@@ -292,34 +302,26 @@ class Experiment:
         elif engine_name == "agent":
             result = self._run_agent(resolved.spec, initial)
         else:
-            result = self._run_batched(resolved.spec, initial, engine_name)
+            result = self._run_batched(resolved.spec, initial)
         result.elapsed_seconds = time.perf_counter() - started
         return result
 
+    def _hook_factories(self):
+        """The scenario as a global-trial hook factory list (every tier)."""
+        if self.scenario is None:
+            return ()
+        return [self.scenario.hook_factory(self.context())]
+
     def _run_serial(self, spec, initial) -> ExperimentResult:
-        context = self.context()
-        seeds = spawn_seeds(self.seed, self.trials)
-        scenario_seeds = (
-            self.scenario.trial_seeds(context) if self.scenario else None
+        recorders, seeds = serial_ensemble(
+            spec, self.n, self.trials, initial, self.periods,
+            seed=self.seed,
+            connection_failure_rate=self.loss_rate,
+            stride=self.stride,
+            hook_factories=self._hook_factories(),
+            track_transitions=self.record_transitions,
+            member_log_state=self.member_log_state,
         )
-        recorders = []
-        for trial, trial_seed in enumerate(seeds):
-            engine = RoundEngine(
-                spec, n=self.n, initial=initial, seed=trial_seed,
-                connection_failure_rate=self.loss_rate,
-            )
-            recorder = MetricsRecorder(
-                spec.states,
-                track_transitions=self.record_transitions,
-                member_log_state=self.member_log_state,
-                stride=self.stride,
-            )
-            hooks = (
-                self.scenario.hooks_for(context, trial, scenario_seeds[trial])
-                if self.scenario else ()
-            )
-            engine.run(self.periods, recorder=recorder, hooks=hooks)
-            recorders.append(recorder)
         return ExperimentResult(
             spec=spec, n=self.n, trials=self.trials, periods=self.periods,
             engine="serial", trial_seeds=list(seeds), elapsed_seconds=0.0,
@@ -345,10 +347,6 @@ class Experiment:
             raise ValueError(
                 "member_log_state is not supported on the agent tier"
             )
-        context = self.context()
-        hook_factories = (
-            [self.scenario.hook_factory(context)] if self.scenario else ()
-        )
         ensemble = AgentEnsemble(
             spec, n=self.n, trials=self.trials, initial=initial,
             seed=self.seed, loss_rate=self.loss_rate,
@@ -358,7 +356,7 @@ class Experiment:
             self.periods,
             stride=self.stride,
             track_transitions=self.record_transitions,
-            hook_factories=hook_factories,
+            hook_factories=self._hook_factories(),
             fault_policy=self.fault_policy,
         )
         return ExperimentResult(
@@ -372,12 +370,8 @@ class Experiment:
             failures=outcome.failures,
         )
 
-    def _run_batched(self, spec, initial, engine_name: str) -> ExperimentResult:
-        context = self.context()
-        mode = engine_name if engine_name == "lockstep" else "batch"
-        hook_factories = (
-            [self.scenario.hook_factory(context)] if self.scenario else ()
-        )
+    def _run_batched(self, spec, initial) -> ExperimentResult:
+        hook_factories = self._hook_factories()
         shards = min(self.workers, self.trials)
         # The cluster backend always routes through the sharded
         # executor (even at shards == 1, which keeps the root seed and
@@ -388,7 +382,7 @@ class Experiment:
                 spec, n=self.n, trials=self.trials, initial=initial,
                 seed=self.seed,
                 connection_failure_rate=self.loss_rate,
-                mode=mode, shards=shards, workers=self.workers,
+                shards=shards, workers=self.workers,
                 backend=self.backend,
             )
             outcome = executor.run(
@@ -402,7 +396,7 @@ class Experiment:
             return ExperimentResult(
                 spec=spec, n=self.n, trials=len(outcome.trial_seeds),
                 periods=self.periods,
-                engine=engine_name, trial_seeds=list(outcome.trial_seeds),
+                engine="batch", trial_seeds=list(outcome.trial_seeds),
                 elapsed_seconds=0.0,
                 protocol=self.protocol,
                 scenario=self.scenario.label if self.scenario else None,
@@ -413,7 +407,6 @@ class Experiment:
         engine = BatchRoundEngine(
             spec, n=self.n, trials=self.trials, initial=initial,
             seed=self.seed, connection_failure_rate=self.loss_rate,
-            mode=mode,
         )
         recorder = BatchMetricsRecorder(
             spec.states, self.trials,
@@ -426,7 +419,7 @@ class Experiment:
         )
         return ExperimentResult(
             spec=spec, n=self.n, trials=self.trials, periods=self.periods,
-            engine=engine_name, trial_seeds=list(engine.trial_seeds),
+            engine="batch", trial_seeds=list(engine.trial_seeds),
             elapsed_seconds=0.0,
             protocol=self.protocol,
             scenario=self.scenario.label if self.scenario else None,

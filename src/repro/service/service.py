@@ -16,7 +16,9 @@ The TCP endpoint speaks newline-delimited JSON, one request per line:
     {"op": "stop"}
 
 Responses mirror the shape: ``{"ok": true, "result": ...}`` or
-``{"ok": false, "error": "..."}``.
+``{"ok": false, "error": "..."}``.  A request line longer than
+:data:`MAX_REQUEST_LINE` bytes cannot be framed: it gets an error
+reply and its connection is closed.
 """
 
 from __future__ import annotations
@@ -29,6 +31,10 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence
 from ..experiment.experiment import Experiment
 from .clock import WallClock
 from .core import ServiceCore
+
+#: Longest request line the TCP endpoint reads (asyncio's default
+#: ``StreamReader`` limit, passed explicitly so the error names it).
+MAX_REQUEST_LINE = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -209,7 +215,17 @@ async def _handle_client(
 ) -> None:
     try:
         while True:
-            line = await reader.readline()
+            try:
+                line = await reader.readline()
+            except ValueError:
+                # The line overran the reader's limit; its remainder
+                # cannot be framed, so answer once and drop the client.
+                writer.write(json.dumps({
+                    "ok": False,
+                    "error": f"request line exceeds {MAX_REQUEST_LINE} bytes",
+                }).encode("utf-8") + b"\n")
+                await writer.drain()
+                break
             if not line:
                 break
             try:
@@ -263,7 +279,8 @@ async def serve_tcp(
 ) -> asyncio.AbstractServer:
     """Expose a service over newline-JSON TCP; port 0 = ephemeral."""
     return await asyncio.start_server(
-        lambda r, w: _handle_client(service, r, w), host, port
+        lambda r, w: _handle_client(service, r, w), host, port,
+        limit=MAX_REQUEST_LINE,
     )
 
 

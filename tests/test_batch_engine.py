@@ -2,10 +2,11 @@
 
 The two pillars:
 
-* **Exactness** -- lockstep mode must reproduce M serial RoundEngine
-  runs with the same spawned seeds bit for bit (count tensors equal
-  elementwise, hence per-period means equal exactly).
-* **Distributional equivalence** -- batch mode draws differently but
+* **Exactness** -- the seeded-serial tier (``serial_ensemble``, and
+  ``engine="lockstep"``, its alias) must reproduce M standalone
+  RoundEngine runs with the same spawned seeds bit for bit (count
+  tensors equal elementwise, hence per-period means equal exactly).
+* **Distributional equivalence** -- the batch engine draws differently but
   must agree with the serial ensemble in distribution, checked against
   serial means (z-tests, see statutil) and against the mean-field
   ``integrate`` trajectories at N = 2000.
@@ -18,6 +19,7 @@ import pytest
 
 import statutil
 
+from repro.experiment import Experiment, Protocol
 from repro.odes import library
 from repro.odes.integrate import integrate
 from repro.protocols.endemic import EndemicParams, figure1_protocol
@@ -31,7 +33,7 @@ from repro.runtime import (
     serial_ensemble,
     spawn_seeds,
 )
-from repro.runtime.batch_engine import segmented_choice
+from repro.runtime.planner import segmented_choice
 from repro.runtime.failures import CrashRecoveryNoise, MassiveFailure
 from repro.runtime.rng import make_generator
 from repro.synthesis import FlipAction, ProtocolSpec, TokenizeAction, synthesize
@@ -66,9 +68,29 @@ def serial_tensor(spec, n, trials, initial, periods, seed, **kwargs):
 
 
 # ----------------------------------------------------------------------
-# Exact seed-for-seed agreement (lockstep mode)
+# Exact seed-for-seed agreement (the seeded-serial tier)
 # ----------------------------------------------------------------------
+def standalone_tensor(spec, n, initial, periods, seeds, hooks=None, **kwargs):
+    """Count tensor of hand-built RoundEngine runs, one per trial seed."""
+    rows = []
+    for m, trial_seed in enumerate(seeds):
+        engine = RoundEngine(spec, n=n, initial=initial, seed=trial_seed, **kwargs)
+        recorder = MetricsRecorder(spec.states)
+        engine.run(periods, recorder=recorder, hooks=hooks(m) if hooks else ())
+        rows.append(np.stack([recorder.counts(s) for s in spec.states], axis=1))
+    return np.stack(rows)
+
+
 class TestLockstepExactness:
+    """``engine="lockstep"`` survives as an alias of the serial tier.
+
+    The name promises each trial bit for bit equal to a standalone
+    ``RoundEngine`` seeded with ``spawn_seeds(seed, M)[m]``; these
+    tests hold the alias and :func:`serial_ensemble` (the one
+    seeded-serial path behind it) to that promise against hand-built
+    runs, across flip, sample, anyof, push and tokenize actions.
+    """
+
     CASES = [
         # (spec factory, n, initial factory, periods) for three protocol
         # families covering flip, sample, anyof and push actions.
@@ -94,8 +116,7 @@ class TestLockstepExactness:
             30,
         ),
         (
-            # Token routing: the delivery path (exact per-trial draw
-            # counts) must stay bit-identical to serial as well.
+            # Token routing draws exact per-trial counts.
             "token",
             token_spec,
             300,
@@ -116,95 +137,84 @@ class TestLockstepExactness:
         # crc32, not hash(): str hashes are randomized per process, and
         # a seed-dependent failure must be reproducible on rerun.
         trials, seed = 6, 20240 + zlib.crc32(name.encode()) % 1000
-        batch = BatchRoundEngine(
-            spec, n=n, trials=trials, initial=initial, seed=seed,
-            mode="lockstep",
-        )
-        result = batch.run(periods)
-        reference, seeds = serial_tensor(
-            spec, n, trials, initial, periods, seed
-        )
-        assert batch.trial_seeds == seeds
-        assert np.array_equal(result.recorder.count_tensor(), reference)
+        result = Experiment(
+            Protocol.from_spec(spec, initial), n=n, trials=trials,
+            periods=periods, seed=seed, engine="lockstep", check="off",
+        ).run()
+        seeds = spawn_seeds(seed, trials)
+        reference = standalone_tensor(spec, n, initial, periods, seeds)
+        assert result.engine == "serial"
+        assert result.trial_seeds == seeds
+        assert np.array_equal(result.count_tensor(), reference)
         # Per-period means therefore agree exactly, not just within
         # tolerance.
         assert np.array_equal(
-            result.recorder.mean_counts(spec.states[0]),
+            result.mean_counts(spec.states[0]),
             reference[:, :, 0].mean(axis=0),
         )
 
     def test_exact_with_connection_failures(self):
         spec = pull_protocol()
         initial = {"x": 280, "y": 20}
-        batch = BatchRoundEngine(
-            spec, n=300, trials=4, initial=initial, seed=77,
-            connection_failure_rate=0.3, mode="lockstep",
-        )
-        result = batch.run(20)
-        reference, _ = serial_tensor(
+        tensor, seeds = serial_tensor(
             spec, 300, 4, initial, 20, 77, connection_failure_rate=0.3
         )
-        assert np.array_equal(result.recorder.count_tensor(), reference)
+        reference = standalone_tensor(
+            spec, 300, initial, 20, seeds, connection_failure_rate=0.3
+        )
+        assert np.array_equal(tensor, reference)
 
     def test_exact_with_hooks(self):
         spec = pull_protocol()
         initial = {"x": 480, "y": 20}
         make_failure = lambda m: MassiveFailure(at_period=8, fraction=0.5)
-        batch = BatchRoundEngine(
-            spec, n=500, trials=4, initial=initial, seed=11, mode="lockstep",
+        tensor, seeds = serial_tensor(
+            spec, 500, 4, initial, 20, 11, hook_factories=[make_failure]
         )
-        recorder = batch.run(20, hook_factories=[make_failure]).recorder
-        for m, trial_seed in enumerate(spawn_seeds(11, 4)):
-            engine = RoundEngine(spec, n=500, initial=initial, seed=trial_seed)
-            serial = MetricsRecorder(spec.states)
-            engine.run(20, recorder=serial, hooks=[make_failure(m)])
-            expected = np.stack(
-                [serial.counts(s) for s in spec.states], axis=1
-            )
-            assert np.array_equal(recorder.count_tensor()[m], expected)
+        reference = standalone_tensor(
+            spec, 500, initial, 20, seeds, hooks=lambda m: [make_failure(m)]
+        )
+        assert np.array_equal(tensor, reference)
+        # The failure really fired: half of every group is gone.
+        assert np.all(tensor[:, -1].sum(axis=1) == 250)
 
     def test_total_messages_matches_serial(self):
-        # total_messages is part of the RoundEngine-compatible surface
-        # and must work in both modes: lockstep aggregates the embedded
-        # engines' counters.
+        # Pull is one probability-1 sample per susceptible per period,
+        # so both engines must account exactly sum_t x_t messages.
         spec = pull_protocol()
         initial = {"x": 280, "y": 20}
-        batch = BatchRoundEngine(
-            spec, n=300, trials=3, initial=initial, seed=21, mode="lockstep",
-        )
-        batch.run(15)
-        expected = []
-        for trial_seed in batch.trial_seeds:
-            engine = RoundEngine(spec, n=300, initial=initial, seed=trial_seed)
-            engine.run(15)
-            expected.append(engine.total_messages)
-        assert np.array_equal(batch.total_messages, expected)
+        periods = 15
+        engine = RoundEngine(spec, n=300, initial=initial, seed=21)
+        recorder = MetricsRecorder(spec.states)
+        engine.run(periods, recorder=recorder)
+        assert engine.total_messages == recorder.counts("x")[:-1].sum()
 
         vectorized = BatchRoundEngine(
-            spec, n=300, trials=3, initial=initial, seed=21, mode="batch",
+            spec, n=300, trials=3, initial=initial, seed=21,
         )
-        vectorized.run(15)
+        counts = vectorized.run(periods).recorder.counts("x")
         assert vectorized.total_messages.shape == (3,)
-        assert np.all(vectorized.total_messages > 0)
+        assert np.array_equal(
+            vectorized.total_messages, counts[:, :-1].sum(axis=1)
+        )
 
     def test_transition_tensor_matches_serial(self):
         spec = figure1_protocol(EndemicParams(alpha=0.01, gamma=0.1, b=2))
         initial = {"x": 350, "y": 50, "z": 0}
-        batch = BatchRoundEngine(
-            spec, n=400, trials=3, initial=initial, seed=5, mode="lockstep",
-        )
-        recorder = batch.run(30).recorder
-        recorders, _ = serial_ensemble(
+        recorders, seeds = serial_ensemble(
             spec, n=400, trials=3, initial=initial, periods=30, seed=5
         )
-        for edge in recorder.edges_seen():
-            expected = np.stack([
-                # Serial recorders log transitions from period 1 on; the
-                # batch recorder records a zero row at period 0.
-                np.concatenate([[0], r.transition_series(edge)[1:]])
-                for r in recorders
-            ])
-            assert np.array_equal(recorder.transition_tensor(edge), expected)
+        for recorder, trial_seed in zip(recorders, seeds):
+            engine = RoundEngine(spec, n=400, initial=initial, seed=trial_seed)
+            expected = MetricsRecorder(spec.states)
+            engine.run(30, recorder=expected)
+            edges = sorted(expected.edges_seen())
+            assert edges and sorted(recorder.edges_seen()) == edges
+            for edge in edges:
+                assert np.array_equal(
+                    recorder.transition_series(edge),
+                    expected.transition_series(edge),
+                )
 
 
 # ----------------------------------------------------------------------
@@ -414,8 +424,6 @@ class TestBatchModeConsistency:
             BatchRoundEngine(spec, n=1, trials=2, initial={"x": 1})
         with pytest.raises(ValueError):
             BatchRoundEngine(spec, n=10, trials=0, initial={"x": 10})
-        with pytest.raises(ValueError):
-            BatchRoundEngine(spec, n=10, trials=2, initial={"x": 10}, mode="warp")
         with pytest.raises(ValueError):
             BatchRoundEngine(
                 spec, n=10, trials=2, initial={"x": 10},

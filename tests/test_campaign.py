@@ -1,7 +1,9 @@
 """Tests for the campaign runner (repro.campaign)."""
 
 import json
+import shutil
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -160,9 +162,79 @@ class TestReplay:
         result.final_counts["y"][0] += 1
         assert not verify_replay(result)
 
-    def test_lockstep_mode_replays_too(self):
-        point = tiny_spec(mode="lockstep", trials=2, periods=10).expand()[0]
-        assert np.array_equal(replay_point(point), replay_point(point))
+
+
+LEGACY = Path(__file__).parent / "fixtures" / "legacy_campaign"
+
+
+class TestLegacyStoredCampaigns:
+    """Files written while campaigns still stored a ``mode`` key.
+
+    ``legacy_campaign/results.json`` is a two-point ``campaign --out``
+    file, and ``legacy_campaign/tensors`` the ``--save-tensors``
+    checkpoint of the same campaign interrupted after its first point;
+    both record ``"mode": "batch"``, which must keep replaying and
+    resuming bit for bit.  A stored ``"lockstep"`` is refused cleanly.
+    """
+
+    def test_results_file_replays(self, capsys):
+        assert cli_main(
+            ["campaign", "--replay", str(LEGACY / "results.json")]
+        ) == 0
+        out = capsys.readouterr().out
+        assert out.count(": reproduced") == 2
+        assert "all 2 points reproduced bit-for-bit" in out
+
+    def test_manifest_resumes_to_the_stored_results(self, tmp_path, capsys):
+        tensors = tmp_path / "tensors"
+        shutil.copytree(LEGACY / "tensors", tensors)
+        out_file = tmp_path / "resumed.json"
+        assert cli_main([
+            "campaign", "--resume", str(tensors), "--out", str(out_file),
+        ]) == 0
+        assert "1 of 2 point(s) already complete" in capsys.readouterr().out
+        resumed = CampaignResult.from_json(out_file.read_text())
+        stored = CampaignResult.from_json(
+            (LEGACY / "results.json").read_text()
+        )
+        assert resumed.spec == stored.spec
+        assert [r.point for r in resumed.results] == [
+            r.point for r in stored.results
+        ]
+        for got, want in zip(resumed.results, stored.results):
+            assert got.trial_seeds == want.trial_seeds
+            assert got.final_counts == want.final_counts
+            assert got.mean_trajectory == want.mean_trajectory
+
+    @pytest.mark.parametrize("target", ["results.json", "tensors"])
+    def test_stored_lockstep_mode_is_refused(self, target, tmp_path, capsys):
+        copy = tmp_path / target
+        if target == "results.json":
+            shutil.copy(LEGACY / target, copy)
+            path = copy
+            argv = ["campaign", "--replay", str(copy)]
+        else:
+            shutil.copytree(LEGACY / target, copy)
+            path = copy / "manifest.json"
+            argv = ["campaign", "--resume", str(copy)]
+        text = path.read_text()
+        assert '"mode": "batch"' in text
+        path.write_text(text.replace('"mode": "batch"', '"mode": "lockstep"'))
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        assert "'lockstep' was removed" in err
+        assert "Traceback" not in err
+
+    def test_spec_and_point_drop_a_stored_batch_mode(self):
+        spec = tiny_spec()
+        data = dict(spec.to_dict(), mode="batch")
+        assert CampaignSpec.from_dict(data).to_dict() == spec.to_dict()
+        point = spec.expand()[0]
+        assert CampaignPoint.from_dict(
+            dict(point.to_dict(), mode="batch")
+        ) == point
+        with pytest.raises(ValueError, match="was removed"):
+            CampaignPoint.from_dict(dict(point.to_dict(), mode="lockstep"))
 
 
 class TestFanOut:

@@ -66,39 +66,6 @@ class TestSynthesize:
         assert "failed" in capsys.readouterr().err
 
 
-class TestSimulate:
-    def test_simulate_runs(self, equations_file, capsys):
-        code = main([
-            "simulate", equations_file,
-            "--param", "beta=0.4", "--param", "gamma=0.1",
-            "--param", "alpha=0.01",
-            "--n", "2000", "--periods", "100", "--seed", "1",
-            "--initial", "x=1999", "--initial", "y=1", "--initial", "z=0",
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "after 100 periods" in out
-
-    def test_simulate_default_initial(self, equations_file, capsys):
-        code = main([
-            "simulate", equations_file,
-            "--param", "beta=0.4", "--param", "gamma=0.1",
-            "--param", "alpha=0.01",
-            "--n", "500", "--periods", "20", "--seed", "2",
-        ])
-        assert code == 0
-
-    def test_plot_flag(self, equations_file, capsys):
-        code = main([
-            "simulate", equations_file,
-            "--param", "beta=0.4", "--param", "gamma=0.1",
-            "--param", "alpha=0.01",
-            "--n", "500", "--periods", "20", "--seed", "3", "--plot",
-        ])
-        assert code == 0
-        assert "|" in capsys.readouterr().out  # plot axis rendered
-
-
 class TestAnalyze:
     def test_analyze_lists_equilibria(self, equations_file, capsys):
         assert main(["analyze", equations_file, *PARAMS]) == 0

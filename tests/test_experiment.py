@@ -2,8 +2,9 @@
 
 The load-bearing guarantees:
 
-* serial and lockstep engines are *bit-identical* on the regression
-  pair (endemic, LV) at small N, with and without scenarios;
+* the serial tier is *bit-identical* to hand-built seeded RoundEngine
+  runs on the regression pair (endemic, LV) at small N, with and
+  without scenarios, and ``engine="lockstep"`` is its alias;
 * ``engine="auto"`` selects serial for one trial and batch for
   ensembles;
 * the three Protocol constructors resolve to runnable (spec, initial)
@@ -154,11 +155,18 @@ class TestEngineSelection:
         assert exp.run().engine == "batch"
 
     def test_explicit_lockstep(self):
+        # "lockstep" names the removed bit-identical batch mode; it is
+        # kept as an alias and resolves to the serial tier.
         exp = Experiment(
             Protocol.named("lv"), n=100, trials=2, periods=5,
             engine="lockstep",
         )
-        assert exp.run().engine == "lockstep"
+        assert exp.chosen_engine == "serial"
+        assert exp.context() == Experiment(
+            Protocol.named("lv"), n=100, trials=2, periods=5,
+            engine="serial", seed=exp.seed,
+        ).context()
+        assert exp.run().engine == "serial"
 
     def test_registry_name_accepted_directly(self):
         result = Experiment("endemic", n=200, trials=2, periods=5).run()
@@ -194,12 +202,44 @@ class TestSerialLockstepBitIdentical:
     @pytest.mark.parametrize("scenario", [None, "massive-failure"])
     def test_bit_identical(self, name, scenario):
         kwargs = dict(n=300, trials=4, periods=40, seed=3, scenario=scenario)
-        serial = Experiment(
+        experiment = Experiment(
             Protocol.named(name), engine="serial", **kwargs
-        ).run()
+        )
+        serial = experiment.run()
+        # The serial tier is hand-built seeded RoundEngine runs, each
+        # with the scenario's own hooks for its trial.
+        resolved = experiment.protocol.resolve(300)
+        seeds = spawn_seeds(3, 4)
+        context = experiment.context()
+        chosen = Scenario.named(scenario) if scenario else None
+        scenario_seeds = chosen.trial_seeds(context) if chosen else None
+        assert serial.trial_seeds == seeds
+        for trial, trial_seed in enumerate(seeds):
+            engine = RoundEngine(
+                resolved.spec, n=300, initial=resolved.initial,
+                seed=trial_seed,
+            )
+            recorder = MetricsRecorder(resolved.spec.states)
+            hooks = (
+                chosen.hooks_for(context, trial, scenario_seeds[trial])
+                if chosen else ()
+            )
+            engine.run(40, recorder=recorder, hooks=hooks)
+            assert np.array_equal(
+                serial.count_tensor()[trial],
+                np.stack(
+                    [recorder.counts(s) for s in resolved.spec.states],
+                    axis=1,
+                ),
+            )
+            assert np.array_equal(
+                serial.alive_tensor()[trial], recorder.alive_series()
+            )
+        # engine="lockstep" is an alias of the serial tier.
         lockstep = Experiment(
             Protocol.named(name), engine="lockstep", **kwargs
         ).run()
+        assert lockstep.engine == "serial"
         assert serial.trial_seeds == lockstep.trial_seeds
         assert np.array_equal(
             serial.count_tensor(), lockstep.count_tensor()

@@ -709,28 +709,31 @@ class TestAnalyticPushLaw:
         )
 
     def test_lockstep_push_is_bit_identical_to_serial(self):
-        """The analytic law is batch-mode only; lockstep must not move."""
+        """The analytic law is batch-only; the serial tier must not move.
+
+        ``engine="lockstep"`` is the serial tier's alias, so its push
+        targets are drawn per actor exactly as a standalone seeded
+        RoundEngine draws them.
+        """
+        from repro.experiment import Experiment, Protocol
         from repro.protocols.epidemic import push_protocol
-        from repro.runtime import serial_ensemble
+        from repro.runtime import MetricsRecorder, spawn_seeds
 
         spec = push_protocol()
         initial = {"x": 380, "y": 20}
-        recorders, seeds = serial_ensemble(
-            spec, n=400, trials=3, initial=initial, periods=15, seed=38
-        )
-        engine = BatchRoundEngine(
-            spec, n=400, trials=3, initial=initial, seed=38,
-            mode="lockstep",
-        )
-        from repro.runtime import BatchMetricsRecorder
-
-        recorder = BatchMetricsRecorder(spec.states, 3)
-        engine.run(15, recorder=recorder)
-        assert list(engine.trial_seeds) == list(seeds)
-        for trial, serial_recorder in enumerate(recorders):
-            for index, state in enumerate(spec.states):
+        result = Experiment(
+            Protocol.from_spec(spec, initial), n=400, trials=3,
+            periods=15, seed=38, engine="lockstep", check="off",
+        ).run()
+        seeds = spawn_seeds(38, 3)
+        assert result.trial_seeds == seeds
+        for trial, trial_seed in enumerate(seeds):
+            engine = RoundEngine(spec, n=400, initial=initial, seed=trial_seed)
+            serial_recorder = MetricsRecorder(spec.states)
+            engine.run(15, recorder=serial_recorder)
+            for state in spec.states:
                 assert np.array_equal(
-                    recorder.counts(state)[trial],
+                    result.counts(state)[trial],
                     serial_recorder.counts(state),
                 )
 

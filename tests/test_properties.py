@@ -12,13 +12,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.experiment import Experiment, Protocol
 from repro.odes import is_complete, make_complete, normalize, denormalize
 from repro.odes.parser import parse_system
 from repro.odes.partition import partition_terms, reconstruct_system
 from repro.odes.system import EquationSystem
 from repro.odes.term import Term, combine_like_terms
 from repro.runtime import (
-    BatchRoundEngine,
     MetricsRecorder,
     RoundEngine,
     spawn_seeds,
@@ -248,17 +248,17 @@ class TestSerialBatchLockstep:
         seed=st.integers(min_value=0, max_value=2**31),
     )
     def test_lockstep_matches_serial_bitwise(self, system, seed):
-        # Lockstep batch mode promises M serial runs bit for bit, for
-        # *every* synthesizable protocol -- not just the three families
-        # test_batch_engine enumerates by hand.
+        # engine="lockstep" (the serial tier's alias) promises M
+        # standalone serial runs bit for bit, for *every* synthesizable
+        # protocol -- not just the families test_batch_engine
+        # enumerates by hand.
         spec = synthesize(system)
         n, trials, periods = 60, 3, 6
         initial = {system.variables[0]: n}
-        batch = BatchRoundEngine(
-            spec, n=n, trials=trials, initial=initial, seed=seed,
-            mode="lockstep",
-        )
-        tensor = batch.run(periods).recorder.count_tensor()
+        tensor = Experiment(
+            Protocol.from_spec(spec, initial), n=n, trials=trials,
+            periods=periods, seed=seed, engine="lockstep", check="off",
+        ).run().count_tensor()
         for m, trial_seed in enumerate(spawn_seeds(seed, trials)):
             expected = count_trajectory(spec, n, initial, periods, trial_seed)
             assert np.array_equal(tensor[m], expected)

@@ -9,6 +9,7 @@ the state stream bit for bit, including query answers at logged points.
 """
 
 import asyncio
+import json
 
 import numpy as np
 import pytest
@@ -439,6 +440,35 @@ class TestTcpEndpoint:
             server.close()
             await server.wait_closed()
             await service.stop()
+
+        run(body())
+
+    def test_oversize_request_line_gets_an_error_reply(self):
+        async def body():
+            errors = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: errors.append(context)
+            )
+            clock = VirtualClock()
+            service, server, port = await self.start_service(clock)
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(b"x" * 70_000 + b"\n")
+            await writer.drain()
+            reply = json.loads(await reader.readline())
+            assert reply == {
+                "ok": False, "error": "request line exceeds 65536 bytes",
+            }
+            # The unframeable connection is closed ...
+            assert await reader.readline() == b""
+            writer.close()
+            # ... and the server keeps serving new ones.
+            client = await ServiceClient.connect("127.0.0.1", port)
+            assert (await client.query("status"))["protocol"] == "endemic"
+            await client.close()
+            server.close()
+            await server.wait_closed()
+            await service.stop()
+            assert errors == []
 
         run(body())
 
