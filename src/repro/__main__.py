@@ -227,15 +227,18 @@ def cmd_run(args) -> int:
     # experiment.seed is concrete even when --seed was omitted (a fresh
     # root seed is drawn and recorded), so the printed value always
     # reproduces the run.
-    print(f"engine: {engine_note}  n={args.n}  trials={args.trials}  "
-          f"periods={args.periods}  seed={experiment.seed}"
-          + ((f"  workers={args.workers}"
-              + (f" (shards={result.shards})"
-                 if result.engine == "batch" else ""))
-             if args.workers > 1 else "")
-          + (f"  scenario={args.scenario}"
-             if args.scenario not in (None, "none") else "")
-          + (f"  loss rate={args.loss_rate:g}" if args.loss_rate else ""))
+    header = [f"engine: {engine_note}", f"n={args.n}",
+              f"trials={args.trials}", f"periods={args.periods}",
+              f"seed={experiment.seed}"]
+    if args.workers > 1:
+        header.append(f"workers={args.workers}")
+        if result.engine == "batch":
+            header[-1] += f" (shards={result.shards})"
+    if args.scenario not in (None, "none"):
+        header.append(f"scenario={args.scenario}")
+    if args.loss_rate:
+        header.append(f"loss rate={args.loss_rate:g}")
+    print("  ".join(header))
     print(f"one period = {spec.time_scale:g} time units of the source "
           f"equations (horizon t = {spec.time_for_periods(args.periods):g})")
     if args.show_protocol:
@@ -568,6 +571,27 @@ def cmd_worker(args) -> int:
     return worker_main(args.connect)
 
 
+#: The execution settings a ``campaign --resume`` may still change.
+_RESUME_FLAGS = frozenset({
+    "--resume", "--workers", "--out", "--backend", "--heartbeat",
+    "--heartbeat-misses", "--max-dispatches", "--on-error", "--retries",
+    "--unit-timeout",
+})
+
+
+def _campaign_flags_set(args, allowed) -> List[str]:
+    """The ``campaign`` flags given a non-default value, minus ``allowed``.
+
+    Compared against the parser's own defaults, so a flag added to the
+    ``campaign`` parser is covered without a hand-kept list: a replay
+    or resume rejects it rather than silently ignoring it.
+    """
+    defaults = vars(build_parser().parse_args(["campaign"]))
+    flags = ["--" + dest.replace("_", "-")
+             for dest, value in vars(args).items() if value != defaults[dest]]
+    return [flag for flag in flags if flag not in allowed]
+
+
 def cmd_campaign(args) -> int:
     if args.workers < 1:
         print(f"invalid campaign: workers must be >= 1, got {args.workers}",
@@ -578,32 +602,8 @@ def cmd_campaign(args) -> int:
             print(f"{label}: no such file: {path}", file=sys.stderr)
             return 1
     if args.replay:
-        # A replay re-runs the stored points exactly as recorded;
-        # rejecting other flags beats silently replaying with
-        # parameters the user thinks they overrode.
-        conflicting = [
-            flag for flag, present in (
-                ("--config", bool(args.config)),
-                ("--protocol", bool(args.protocol)),
-                ("--equations", bool(args.equations)),
-                ("--n", bool(args.n)),
-                ("--loss-rate", bool(args.loss_rate)),
-                ("--scenario", bool(args.scenario)),
-                ("--name", args.name is not None),
-                ("--trials", args.trials is not None),
-                ("--periods", args.periods is not None),
-                ("--seed", args.seed is not None),
-                ("--stride", args.stride is not None),
-                ("--shards", args.shards is not None),
-                ("--workers", args.workers != 1),
-                ("--out", bool(args.out)),
-                ("--save-tensors", bool(args.save_tensors)),
-                ("--dry-run", args.dry_run),
-                ("--resume", bool(args.resume)),
-                ("--on-error", args.on_error != "raise"),
-                ("--unit-timeout", args.unit_timeout is not None),
-            ) if present
-        ]
+        # A replay re-runs the stored points exactly as recorded.
+        conflicting = _campaign_flags_set(args, allowed={"--replay"})
         if conflicting:
             print(
                 f"invalid campaign: {', '.join(conflicting)} cannot be "
@@ -644,32 +644,15 @@ def cmd_campaign(args) -> int:
 
     if args.resume:
         # A resume continues the checkpointed campaign exactly as its
-        # manifest records it; rejecting grid/axis flags beats silently
-        # resuming with parameters the user thinks they overrode.
-        conflicting = [
-            flag for flag, present in (
-                ("--config", bool(args.config)),
-                ("--protocol", bool(args.protocol)),
-                ("--equations", bool(args.equations)),
-                ("--n", bool(args.n)),
-                ("--loss-rate", bool(args.loss_rate)),
-                ("--scenario", bool(args.scenario)),
-                ("--name", args.name is not None),
-                ("--trials", args.trials is not None),
-                ("--periods", args.periods is not None),
-                ("--seed", args.seed is not None),
-                ("--stride", args.stride is not None),
-                ("--shards", args.shards is not None),
-                ("--save-tensors", bool(args.save_tensors)),
-                ("--dry-run", args.dry_run),
-            ) if present
-        ]
+        # manifest records it; only execution settings may change.
+        conflicting = _campaign_flags_set(args, allowed=_RESUME_FLAGS)
         if conflicting:
             print(
                 f"invalid campaign: {', '.join(conflicting)} cannot be "
                 f"combined with --resume; the campaign's parameters come "
                 f"from the checkpointed manifest (only --workers, "
-                f"--backend, --out and the fault-policy flags apply)",
+                f"--backend, the cluster flags, --out and the "
+                f"fault-policy flags apply)",
                 file=sys.stderr,
             )
             return 1
@@ -1088,11 +1071,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "out, results are worker-independent)")
     _add_fault_policy_arguments(
         p_run,
-        "work-unit fault policy on the execution layer (agent tier, or "
-        "--workers > 1): raise aborts on the first unit failure, retry "
-        "re-runs the same payload with capped backoff (bitwise "
-        "identical), skip keeps the surviving trials and reports the "
-        "losses",
+        "work-unit fault policy on the execution layer (batch and "
+        "agent tiers, any --workers): raise aborts on the first unit "
+        "failure, retry re-runs the same payload with capped backoff "
+        "(bitwise identical), skip keeps the surviving trials and "
+        "reports the losses",
     )
     _add_backend_arguments(p_run)
     p_run.add_argument("--show-protocol", action="store_true",

@@ -13,7 +13,9 @@ Engine auto-selection (``engine="auto"``):
 * ``trials == 1`` -> the **serial** :class:`RoundEngine` (single-run
   studies, and anything whose hooks must see a real engine);
 * ``trials > 1`` -> the vectorized **batch** :class:`BatchRoundEngine`
-  (ensembles: means, quantile bands, frequencies).
+  (ensembles: means, quantile bands, frequencies), always run as a
+  :class:`~repro.runtime.parallel.ShardedBatchExecutor` plan of
+  ``min(workers, trials)`` shards.
 
 Explicit tiers: ``engine="serial"`` runs ``trials`` seeded
 :class:`RoundEngine` instances through
@@ -36,13 +38,10 @@ import secrets
 import time
 from typing import Mapping, Optional, Union
 
-from ..runtime.batch_engine import (
-    BatchMetricsRecorder,
-    BatchRoundEngine,
-    serial_ensemble,
-)
+from ..runtime.batch_engine import serial_ensemble
 from ..runtime.exec import BACKENDS, FaultPolicy
 from ..runtime.parallel import AgentEnsemble, ShardedBatchExecutor
+from ..runtime.round_engine import initial_state_vector
 from .protocol import Protocol
 from .result import ExperimentResult
 from .scenario import RunContext, Scenario
@@ -89,27 +88,30 @@ class Experiment:
         Override the protocol handle's initial distribution (counts
         summing to ``n`` or fractions summing to 1).
     workers:
-        Processes to fan the trial axis across (default 1).  With
-        ``workers > 1`` the batch tier runs through
-        :class:`~repro.runtime.parallel.ShardedBatchExecutor`: the
+        Processes to fan the trial axis across (default 1).  The batch
+        tier always runs as a
+        :class:`~repro.runtime.parallel.ShardedBatchExecutor` plan: the
         trials split into ``min(workers, trials)`` campaign-style
         shards (seed family spawned from ``(seed, SHARD_DOMAIN)``) and
         the recorders merge integer-exactly, so a sharded run is
         bitwise reproducible for a fixed ``(seed, workers)`` and
         identical whether the shards actually ran pooled or serially.
-        Note the *shard count* is part of the stream identity: results
-        differ from the unsharded ``workers=1`` run (exactly as
-        campaign ``--shards`` documents).  The agent tier fans whole
-        trials across the pool (each trial owns its RNG stream, so the
-        result is bitwise independent of ``workers``, clamped to
-        ``trials``).  The serial tier (and its ``"lockstep"`` alias)
-        ignores it, as it ignores ``backend``.
+        ``workers=1`` is a one-shard plan, which keeps the root seed
+        and so equals the unsharded engine bit for bit.  Note the
+        *shard count* is part of the stream identity: ``workers > 1``
+        results differ from the ``workers=1`` run (exactly as campaign
+        ``--shards`` documents).  The agent tier fans whole trials
+        across the pool (each trial owns its RNG stream, so the result
+        is bitwise independent of ``workers``, clamped to ``trials``).
+        The serial tier (and its ``"lockstep"`` alias) ignores it, as
+        it ignores ``backend``.
     on_error, retries, unit_timeout:
         The execution layer's fault policy
-        (:class:`~repro.runtime.exec.FaultPolicy`), applied wherever
-        the run decomposes into work units (the agent tier, and the
-        batch tier with ``workers > 1``).  ``on_error``:
-        ``"raise"`` (default) aborts on the first unit failure,
+        (:class:`~repro.runtime.exec.FaultPolicy`), applied to every
+        run that decomposes into work units: every batch and agent
+        run, at any ``workers``.  ``on_error``:
+        ``"raise"`` (default) aborts on the first unit failure with
+        :class:`~repro.runtime.exec.UnitExecutionError`,
         ``"retry"`` re-runs a failed unit's exact payload up to
         ``retries`` times with capped backoff (retries cannot perturb
         seeds or merge order, so a retried run is bitwise identical to
@@ -127,11 +129,7 @@ class Experiment:
         keeps the local process pool; ``"cluster"`` runs socket-
         connected worker processes with heartbeats, dead-worker
         re-dispatch and elastic worker counts -- results are bitwise
-        identical either way (plan contract clause 5).  With
-        ``backend="cluster"`` the batch tier routes through
-        the sharded executor even at ``workers=1`` (a single shard
-        keeps the root seed, so results still match the unsharded
-        run bit for bit).
+        identical either way (plan contract clause 5).
     """
 
     def __init__(
@@ -291,20 +289,58 @@ class Experiment:
     # Execution
     # ------------------------------------------------------------------
     def run(self) -> ExperimentResult:
-        """Execute the experiment on the selected engine tier."""
+        """Execute the experiment on the selected engine tier.
+
+        Every input an engine would reject is checked here first
+        (:meth:`_check_inputs`), so each tier raises the same plain
+        :class:`ValueError` and no pool or cluster worker starts for
+        a bad run.
+        """
         resolved = self.protocol.resolve(self.n)
         self.protocol.verify(self.n, mode=self.check)
+        spec = resolved.spec
         initial = self.initial if self.initial is not None else resolved.initial
         engine_name = self.chosen_engine
+        self._check_inputs(spec, initial, engine_name)
+        tier = {
+            "serial": self._run_serial,
+            "agent": self._run_agent,
+            "batch": self._run_batched,
+        }[engine_name]
         started = time.perf_counter()
-        if engine_name == "serial":
-            result = self._run_serial(resolved.spec, initial)
-        elif engine_name == "agent":
-            result = self._run_agent(resolved.spec, initial)
-        else:
-            result = self._run_batched(resolved.spec, initial)
-        result.elapsed_seconds = time.perf_counter() - started
-        return result
+        outcome = tier(spec, initial)
+        return ExperimentResult(
+            spec=spec, n=self.n, trials=len(outcome["trial_seeds"]),
+            periods=self.periods, engine=engine_name,
+            elapsed_seconds=time.perf_counter() - started,
+            protocol=self.protocol,
+            scenario=self.scenario.label if self.scenario else None,
+            **outcome,
+        )
+
+    def _check_inputs(self, spec, initial, engine_name: str) -> None:
+        """Reject, before dispatch, what any engine tier would reject."""
+        if self.n < 2:
+            raise ValueError(f"group size must be >= 2, got {self.n}")
+        if not 0.0 <= self.loss_rate < 1.0:
+            raise ValueError(
+                f"loss_rate must lie in [0, 1), got {self.loss_rate}"
+            )
+        if self.stride < 1:
+            raise ValueError(f"stride must be >= 1, got {self.stride}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.member_log_state is not None:
+            if engine_name == "agent":
+                raise ValueError(
+                    "member_log_state is not supported on the agent tier"
+                )
+            if self.member_log_state not in spec.states:
+                raise ValueError(
+                    f"member_log_state {self.member_log_state!r} is not "
+                    f"a state of {spec.name!r} ({', '.join(spec.states)})"
+                )
+        initial_state_vector(spec.states, self.n, initial)
 
     def _hook_factories(self):
         """The scenario as a global-trial hook factory list (every tier)."""
@@ -312,7 +348,7 @@ class Experiment:
             return ()
         return [self.scenario.hook_factory(self.context())]
 
-    def _run_serial(self, spec, initial) -> ExperimentResult:
+    def _run_serial(self, spec, initial) -> dict:
         recorders, seeds = serial_ensemble(
             spec, self.n, self.trials, initial, self.periods,
             seed=self.seed,
@@ -322,15 +358,9 @@ class Experiment:
             track_transitions=self.record_transitions,
             member_log_state=self.member_log_state,
         )
-        return ExperimentResult(
-            spec=spec, n=self.n, trials=self.trials, periods=self.periods,
-            engine="serial", trial_seeds=list(seeds), elapsed_seconds=0.0,
-            protocol=self.protocol,
-            scenario=self.scenario.label if self.scenario else None,
-            trial_recorders=recorders,
-        )
+        return dict(trial_seeds=list(seeds), trial_recorders=recorders)
 
-    def _run_agent(self, spec, initial) -> ExperimentResult:
+    def _run_agent(self, spec, initial) -> dict:
         """The asynchronous DES tier, as a (possibly pooled) ensemble.
 
         Trial seeds are ``spawn_seeds(seed, trials)`` -- the serial
@@ -343,87 +373,50 @@ class Experiment:
         the stock registry scenarios apply; hooks that write engine
         arrays directly do not (see :meth:`AgentSimulation.run`).
         """
-        if self.member_log_state is not None:
-            raise ValueError(
-                "member_log_state is not supported on the agent tier"
-            )
-        ensemble = AgentEnsemble(
+        outcome = AgentEnsemble(
             spec, n=self.n, trials=self.trials, initial=initial,
             seed=self.seed, loss_rate=self.loss_rate,
             workers=self.workers, backend=self.backend,
-        )
-        outcome = ensemble.run(
+        ).run(
             self.periods,
             stride=self.stride,
             track_transitions=self.record_transitions,
             hook_factories=self._hook_factories(),
             fault_policy=self.fault_policy,
         )
-        return ExperimentResult(
-            spec=spec, n=self.n, trials=len(outcome.trial_seeds),
-            periods=self.periods,
-            engine="agent", trial_seeds=list(outcome.trial_seeds),
-            elapsed_seconds=0.0,
-            protocol=self.protocol,
-            scenario=self.scenario.label if self.scenario else None,
+        return dict(
+            trial_seeds=list(outcome.trial_seeds),
             trial_recorders=outcome.recorders,
             failures=outcome.failures,
         )
 
-    def _run_batched(self, spec, initial) -> ExperimentResult:
-        hook_factories = self._hook_factories()
+    def _run_batched(self, spec, initial) -> dict:
+        """The batch tier: always a shard plan of ``min(workers, trials)``.
+
+        A single shard keeps the root seed, so ``workers=1`` is bitwise
+        the unsharded engine; the fault policy and the backend apply at
+        every worker count.
+        """
         shards = min(self.workers, self.trials)
-        # The cluster backend always routes through the sharded
-        # executor (even at shards == 1, which keeps the root seed and
-        # is bitwise-equal to the unsharded engine), so process
-        # isolation and re-dispatch apply at any worker count.
-        if shards > 1 or self.backend != "pool":
-            executor = ShardedBatchExecutor(
-                spec, n=self.n, trials=self.trials, initial=initial,
-                seed=self.seed,
-                connection_failure_rate=self.loss_rate,
-                shards=shards, workers=self.workers,
-                backend=self.backend,
-            )
-            outcome = executor.run(
-                self.periods,
-                stride=self.stride,
-                track_transitions=self.record_transitions,
-                member_log_state=self.member_log_state,
-                hook_factories=hook_factories,
-                fault_policy=self.fault_policy,
-            )
-            return ExperimentResult(
-                spec=spec, n=self.n, trials=len(outcome.trial_seeds),
-                periods=self.periods,
-                engine="batch", trial_seeds=list(outcome.trial_seeds),
-                elapsed_seconds=0.0,
-                protocol=self.protocol,
-                scenario=self.scenario.label if self.scenario else None,
-                recorder=outcome.recorder,
-                shards=shards,
-                failures=outcome.failures,
-            )
-        engine = BatchRoundEngine(
+        outcome = ShardedBatchExecutor(
             spec, n=self.n, trials=self.trials, initial=initial,
-            seed=self.seed, connection_failure_rate=self.loss_rate,
-        )
-        recorder = BatchMetricsRecorder(
-            spec.states, self.trials,
+            seed=self.seed,
+            connection_failure_rate=self.loss_rate,
+            shards=shards, workers=self.workers,
+            backend=self.backend,
+        ).run(
+            self.periods,
+            stride=self.stride,
             track_transitions=self.record_transitions,
             member_log_state=self.member_log_state,
-            stride=self.stride,
+            hook_factories=self._hook_factories(),
+            fault_policy=self.fault_policy,
         )
-        engine.run(
-            self.periods, recorder=recorder, hook_factories=hook_factories
-        )
-        return ExperimentResult(
-            spec=spec, n=self.n, trials=self.trials, periods=self.periods,
-            engine="batch", trial_seeds=list(engine.trial_seeds),
-            elapsed_seconds=0.0,
-            protocol=self.protocol,
-            scenario=self.scenario.label if self.scenario else None,
-            recorder=recorder,
+        return dict(
+            trial_seeds=list(outcome.trial_seeds),
+            recorder=outcome.recorder,
+            shards=shards,
+            failures=outcome.failures,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - trivial

@@ -35,6 +35,7 @@ from ..runtime import (
     BatchRoundEngine,
     MetricsRecorder,
     RoundEngine,
+    spawn_seeds,
 )
 from ..runtime.batch_engine import HookFactory
 from ..runtime.round_engine import Hook
@@ -363,13 +364,15 @@ def majority_accuracy_serial(
     The pre-batch-engine idiom (one seeded :class:`LVMajority` per
     trial).  Kept as the baseline for
     ``benchmarks/bench_lv_accuracy_throughput.py`` and the
-    distributional-equivalence tests.
+    distributional-equivalence tests.  Trial ``m`` is seeded with
+    ``spawn_seeds(seed, trials)[m]``, the family every other tier
+    uses (:attr:`LVEnsemble.trial_seeds`).
     """
     wins = 0
     decided = 0
-    for trial in range(trials):
+    for trial_seed in spawn_seeds(seed, trials):
         outcome = LVMajority(
-            n, zeros, n - zeros, p=p, seed=seed + trial
+            n, zeros, n - zeros, p=p, seed=trial_seed
         ).run(max_periods)
         if outcome.correct is not None:
             decided += 1

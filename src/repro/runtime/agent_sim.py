@@ -38,6 +38,7 @@ from .membership import FullMembership, PartialMembership
 from .metrics import MetricsRecorder
 from .network import LatencyModel, Network
 from .rng import RandomSource
+from .round_engine import initial_state_vector
 
 
 class AgentSimulation:
@@ -121,26 +122,10 @@ class AgentSimulation:
     def _assign_initial(
         self, initial: Mapping[str, float], rng: np.random.Generator
     ) -> List[str]:
-        names = list(self.spec.states)
-        unknown = set(initial) - set(names)
-        if unknown:
-            raise ValueError(f"unknown states {sorted(unknown)}")
-        values = np.array([float(initial.get(s, 0.0)) for s in names])
-        total = values.sum()
-        if abs(total - 1.0) < 1e-6:
-            values *= self.n
-        elif abs(total - self.n) > max(1.0, 1e-6 * self.n):
-            raise ValueError(
-                f"initial distribution sums to {total}; expected 1 or {self.n}"
-            )
-        counts = np.floor(values).astype(int)
-        for index in np.argsort(-(values - np.floor(values)))[: self.n - counts.sum()]:
-            counts[index] += 1
-        assignment = [
-            name for name, count in zip(names, counts) for _ in range(count)
-        ]
+        names = self.spec.states
+        assignment = initial_state_vector(names, self.n, initial)
         rng.shuffle(assignment)
-        return assignment
+        return [names[index] for index in assignment]
 
     # ------------------------------------------------------------------
     # Services used by agents

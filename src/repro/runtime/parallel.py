@@ -46,7 +46,6 @@ from ..synthesis.protocol import ProtocolSpec
 from .agent_sim import AgentSimulation
 from .batch_engine import BatchMetricsRecorder, BatchRoundEngine, HookFactory
 from .exec import (
-    BACKENDS,
     ExecutionPlan,
     FaultPolicy,
     UnitExecutionError,
@@ -241,7 +240,8 @@ class ShardedBatchExecutor:
         (:data:`~repro.runtime.exec.BACKENDS`): ``"pool"`` (default)
         or ``"cluster"`` -- socket workers with heartbeats and
         dead-worker re-dispatch, bitwise identical by the plan
-        contract.
+        contract.  :func:`~repro.runtime.exec.run_plan` validates it
+        when :meth:`run` starts, before any unit runs.
 
     Hook factories passed to :meth:`run` are indexed by *global* trial,
     so scenarios inject identical faults however the ensemble is
@@ -264,10 +264,6 @@ class ShardedBatchExecutor:
     ):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if backend not in BACKENDS:
-            raise ValueError(
-                f"backend must be one of {BACKENDS}, got {backend!r}"
-            )
         self.backend = backend
         self.spec = spec
         self.n = n
@@ -463,7 +459,8 @@ class AgentEnsemble:
         1 = run them serially in this process -- same bits, no pool).
     backend:
         Executor backend (:data:`~repro.runtime.exec.BACKENDS`):
-        ``"pool"`` (default) or ``"cluster"``.
+        ``"pool"`` (default) or ``"cluster"``.  :func:`run_plan`
+        validates ``workers`` and ``backend`` when :meth:`run` starts.
 
     Hook factories passed to :meth:`run` are called with the global
     trial index and must return a per-period hook ``hook(simulation)``
@@ -487,12 +484,6 @@ class AgentEnsemble:
     ):
         if trials < 1:
             raise ValueError(f"trials must be >= 1, got {trials}")
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if backend not in BACKENDS:
-            raise ValueError(
-                f"backend must be one of {BACKENDS}, got {backend!r}"
-            )
         self.backend = backend
         self.spec = spec
         self.n = n

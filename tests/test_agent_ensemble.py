@@ -119,8 +119,11 @@ class TestValidation:
     def test_bad_arguments(self):
         with pytest.raises(ValueError, match="trials"):
             AgentEnsemble(SPEC, n=150, trials=0, initial=INITIAL)
+        # run_plan validates workers when the plan starts.
+        ensemble = AgentEnsemble(SPEC, n=150, trials=2, initial=INITIAL,
+                                 workers=0)
         with pytest.raises(ValueError, match="workers"):
-            AgentEnsemble(SPEC, n=150, trials=2, initial=INITIAL, workers=0)
+            ensemble.run(2)
 
 
 class TestExperimentAgentTier:

@@ -658,6 +658,15 @@ class TestCampaignCli:
         ]) == 1
         err = capsys.readouterr().err
         assert "--trials" in err and "--replay" in err
+        # Execution flags too: a replay runs in-process, so a backend,
+        # fault-policy or cluster flag would be silently ignored.
+        for flag, value in (("--backend", "cluster"), ("--retries", "5"),
+                            ("--heartbeat", "2"), ("--max-dispatches", "2")):
+            assert cli_main([
+                "campaign", "--replay", str(out_file), flag, value,
+            ]) == 1
+            err = capsys.readouterr().err
+            assert flag in err and "--replay" in err
 
     def test_config_scalar_overrides_still_apply(self, tmp_path, capsys):
         config = tmp_path / "spec.json"

@@ -148,6 +148,37 @@ class TestRunClusterBackend:
         assert "ensemble trajectory summary" in out
 
 
+class TestRunBadInput:
+    """Every tier rejects a bad run input with one line and exit 1.
+
+    The inputs are checked before dispatch, so no pool or cluster
+    worker starts and no traceback reaches the terminal, whichever
+    tier or backend would have run.
+    """
+
+    @pytest.mark.parametrize("tier", [
+        ["--workers", "1"],
+        ["--workers", "2"],
+        ["--engine", "agent", "--trials", "2"],
+        ["--backend", "cluster"],
+    ], ids=["workers1", "workers2", "agent", "cluster"])
+    @pytest.mark.parametrize("bad", [
+        ["--initial", "bogus=400"],
+        ["--stride", "0"],
+        ["--loss-rate", "1.5"],
+        ["--n", "1"],
+        ["--seed", "-1"],
+    ], ids=["initial", "stride", "loss-rate", "n", "seed"])
+    def test_bad_input_exits_1_without_traceback(self, bad, tier, capsys):
+        assert main([
+            "run", "endemic", "--n", "400", "--trials", "4",
+            "--periods", "3", *bad, *tier,
+        ]) == 1
+        err = capsys.readouterr().err
+        assert "invalid experiment:" in err
+        assert "Traceback" not in err
+
+
 class TestFailureProvenanceRendering:
     def test_cluster_failure_renders_provenance(self):
         from repro.__main__ import _render_failure_provenance

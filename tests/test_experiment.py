@@ -555,6 +555,42 @@ class TestResultConstruction:
         assert ENGINES == ("auto", "serial", "batch", "lockstep", "agent")
 
 
+class TestInputsCheckedBeforeDispatch:
+    @pytest.fixture
+    def no_dispatch(self, monkeypatch):
+        import repro.runtime.parallel as parallel
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a plan was dispatched for bad input")
+
+        monkeypatch.setattr(parallel, "run_plan", refuse)
+
+    @pytest.mark.parametrize("engine", ["batch", "agent"])
+    @pytest.mark.parametrize("bad", [
+        {"initial": {"bogus": 300}},
+        {"initial": {"x": 400}},
+        {"stride": 0},
+        {"loss_rate": 1.5},
+        {"n": 1},
+        {"member_log_state": "bogus"},
+        {"seed": -1},
+    ], ids=["unknown-state", "over-n", "stride", "loss-rate", "n",
+            "member-log-state", "seed"])
+    def test_bad_input_raises_before_any_unit(self, engine, bad, no_dispatch):
+        kwargs = dict(n=300, trials=4, periods=3, seed=1, workers=2,
+                      engine=engine)
+        kwargs.update(bad)
+        with pytest.raises(ValueError):
+            Experiment(Protocol.named("endemic"), **kwargs).run()
+
+    def test_agent_tier_rejects_member_log(self, no_dispatch):
+        with pytest.raises(ValueError, match="agent tier"):
+            Experiment(
+                Protocol.named("endemic"), n=300, trials=2, periods=3,
+                engine="agent", member_log_state="x",
+            ).run()
+
+
 def _benign_scenario(trial):
     return []
 
@@ -574,12 +610,13 @@ class TestFaultPolicyPlumbing:
         with pytest.raises(ValueError, match="timeout"):
             Experiment(Protocol.named("lv"), n=200, unit_timeout=0.0)
 
-    def test_default_policy_aborts_on_shard_failure(self):
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_default_policy_aborts_on_shard_failure(self, workers):
         from repro.runtime import UnitExecutionError
 
         experiment = Experiment(
             Protocol.named("lv"), n=200, trials=6, periods=10, seed=9,
-            workers=3, scenario=_sabotage_scenario,
+            workers=workers, scenario=_sabotage_scenario,
         )
         with pytest.raises(UnitExecutionError, match="sabotaged"):
             experiment.run()
@@ -603,14 +640,15 @@ class TestFaultPolicyPlumbing:
             partial.count_tensor(), clean.count_tensor()[:4]
         )
 
-    def test_retry_policy_leaves_clean_runs_bitwise_identical(self):
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_retry_policy_leaves_clean_runs_bitwise_identical(self, workers):
         reference = Experiment(
             Protocol.named("lv"), n=200, trials=6, periods=10, seed=9,
-            workers=3,
+            workers=workers,
         ).run()
         guarded = Experiment(
             Protocol.named("lv"), n=200, trials=6, periods=10, seed=9,
-            workers=3, on_error="retry", retries=3, unit_timeout=120.0,
+            workers=workers, on_error="retry", retries=3, unit_timeout=120.0,
         ).run()
         assert guarded.failures == []
         assert guarded.trial_seeds == reference.trial_seeds

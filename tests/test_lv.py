@@ -113,6 +113,25 @@ class TestEnsemble:
         )
         assert batched == serial == 1.0
 
+    def test_serial_loop_uses_the_ensemble_trial_seeds(self, monkeypatch):
+        # Trial m of the serial baseline must be trial m of every other
+        # tier: seeded from spawn_seeds(seed, trials), not seed + m.
+        import repro.protocols.lv as lv_module
+
+        seen = []
+
+        class RecordingLVMajority(LVMajority):
+            def __init__(self, *args, seed=None, **kwargs):
+                seen.append(seed)
+                super().__init__(*args, seed=seed, **kwargs)
+
+        monkeypatch.setattr(lv_module, "LVMajority", RecordingLVMajority)
+        majority_accuracy_serial(200, zeros=150, trials=3, max_periods=5,
+                                 seed=7)
+        expected = LVEnsemble(200, zeros=150, ones=50, trials=3,
+                              seed=7).trial_seeds
+        assert seen == list(expected)
+
     def test_decision_tensors(self):
         outcome = LVEnsemble(
             400, zeros=280, ones=120, trials=8, seed=3
